@@ -300,7 +300,9 @@ BENCHMARK_CAPTURE(BM_Access, one_m, SchemeKind::kOneM)->Arg(34000);
 BENCHMARK_CAPTURE(BM_Access, distributed, SchemeKind::kDistributed)
     ->Arg(34000);
 BENCHMARK_CAPTURE(BM_Access, hashing, SchemeKind::kHashing)->Arg(34000);
-BENCHMARK_CAPTURE(BM_Access, signature, SchemeKind::kSignature)->Arg(34000);
+BENCHMARK_CAPTURE(BM_Access, signature, SchemeKind::kSignature)
+    ->Arg(7000)
+    ->Arg(34000);
 
 BENCHMARK_CAPTURE(BM_ArenaAccess, one_m, SchemeKind::kOneM)->Arg(34000);
 BENCHMARK_CAPTURE(BM_PointerAccess, one_m, SchemeKind::kOneM)->Arg(34000);

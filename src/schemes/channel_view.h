@@ -263,12 +263,6 @@ class ArenaChannelView {
     return now + delta;
   }
 
-  /// First word of the whole signature-word pool. For record-ordered
-  /// signature tables (SignatureIndexing) the pool layout equals the
-  /// packed table, so the walk can scan it as one contiguous base
-  /// pointer.
-  const std::uint64_t* word_pool() const { return words_; }
-
  private:
   friend class BucketRef;
 

@@ -75,9 +75,9 @@ Result<ProgramArena> FlattenSchemeProgram(SchemeKind kind,
 /// re-running the channel construction: the channel is inflated from the
 /// arena (bucket key views point into the arena's string pool — the
 /// returned scheme co-owns `arena` to keep them alive) and cheap
-/// deterministic auxiliaries (index trees, signature generators, packed
-/// signature tables, occurrence maps) are reconstructed from `dataset`,
-/// `geometry`, `params` and the arena's aux scalars. Observably
+/// deterministic auxiliaries (index trees, signature generators,
+/// bit-sliced signature files, occurrence maps) are reconstructed from
+/// `dataset`, `geometry`, `params` and the arena's aux scalars. Observably
 /// identical to the freshly built scheme: every Access() walk returns
 /// the same result, so simulation output stays bit-identical.
 Result<std::unique_ptr<BroadcastScheme>> RestoreSchemeFromArena(

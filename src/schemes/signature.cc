@@ -1,6 +1,7 @@
 #include "schemes/signature.h"
 
 #include <algorithm>
+#include <bit>
 #include <string>
 #include <utility>
 
@@ -76,17 +77,11 @@ bool SignatureGenerator::Matches(const std::uint64_t* record_sig,
   return true;
 }
 
-SignatureIndexing::SignatureIndexing(
-    std::shared_ptr<const Dataset> dataset, SignatureGenerator generator,
-    Channel channel, std::vector<std::uint64_t> packed_signatures)
-    : dataset_(std::move(dataset)),
-      generator_(generator),
-      channel_(std::move(channel)),
-      packed_(std::move(packed_signatures)) {}
+namespace {
 
-Result<SignatureIndexing> SignatureIndexing::Build(
-    std::shared_ptr<const Dataset> dataset, const BucketGeometry& geometry,
-    SignatureParams params) {
+Status ValidateParams(const std::shared_ptr<const Dataset>& dataset,
+                      const BucketGeometry& geometry,
+                      const SignatureParams& params) {
   if (dataset == nullptr || dataset->size() == 0) {
     return Status::InvalidArgument(
         "signature indexing needs a non-empty dataset");
@@ -98,17 +93,87 @@ Result<SignatureIndexing> SignatureIndexing::Build(
       params.bits_per_attribute > geometry.signature_bytes * 8) {
     return Status::InvalidArgument("bits_per_attribute out of range");
   }
+  return Status::Ok();
+}
+
+std::size_t BlocksFor(int num_records) {
+  return (static_cast<std::size_t>(num_records) + 63) / 64;
+}
+
+// Transposes the 64×64 bit matrix `m` in place: bit c of m[r] trades
+// places with bit r of m[c]. Swaps ever smaller off-diagonal blocks.
+void Transpose64(std::uint64_t* m) {
+  std::uint64_t mask = 0x00000000FFFFFFFFULL;
+  for (int j = 32; j != 0; j >>= 1, mask ^= mask << j) {
+    for (int k = 0; k < 64; k = ((k | j) + 1) & ~j) {
+      const std::uint64_t t = ((m[k] >> j) ^ m[k | j]) & mask;
+      m[k] ^= t << j;
+      m[k | j] ^= t;
+    }
+  }
+}
+
+// The bit-sliced signature file of `num_records` bits-wide signatures,
+// signature_of(r) pointing at record r's (key order): 64 records × 64
+// signature bits at a time are one bit-matrix transpose.
+template <typename SignatureOf>
+std::vector<std::uint64_t> SliceSignatures(int num_records, int bits,
+                                           SignatureOf signature_of) {
+  const std::size_t blocks = BlocksFor(num_records);
+  const int words = (bits + 63) / 64;
+  std::vector<std::uint64_t> slices(static_cast<std::size_t>(bits) * blocks,
+                                    0);
+  std::uint64_t matrix[64];
+  for (std::size_t block = 0; block < blocks; ++block) {
+    for (int w = 0; w < words; ++w) {
+      for (int i = 0; i < 64; ++i) {
+        const std::size_t record = block * 64 + static_cast<std::size_t>(i);
+        matrix[i] = record < static_cast<std::size_t>(num_records)
+                        ? signature_of(record)[w]
+                        : 0;
+      }
+      Transpose64(matrix);
+      for (int c = 0; c < 64 && w * 64 + c < bits; ++c) {
+        slices[static_cast<std::size_t>(w * 64 + c) * blocks + block] =
+            matrix[c];
+      }
+    }
+  }
+  return slices;
+}
+
+bool CarriesAttribute(const Record& record, std::string_view value) {
+  for (const std::string& attribute : record.attributes) {
+    if (attribute == value) return true;
+  }
+  return false;
+}
+
+}  // namespace
+
+SignatureIndexing::SignatureIndexing(std::shared_ptr<const Dataset> dataset,
+                                     SignatureGenerator generator,
+                                     Channel channel,
+                                     std::vector<std::uint64_t> slices)
+    : dataset_(std::move(dataset)),
+      generator_(generator),
+      channel_(std::move(channel)),
+      slices_(std::move(slices)),
+      blocks_(BlocksFor(dataset_->size())) {}
+
+Result<SignatureIndexing> SignatureIndexing::Build(
+    std::shared_ptr<const Dataset> dataset, const BucketGeometry& geometry,
+    SignatureParams params) {
+  if (Status status = ValidateParams(dataset, geometry, params);
+      !status.ok()) {
+    return status;
+  }
 
   SignatureGenerator generator(geometry, params);
-  const int words = generator.words();
-  std::vector<std::uint64_t> packed;
-  packed.reserve(static_cast<std::size_t>(dataset->size() * words));
-
   std::vector<Bucket> buckets;
   buckets.reserve(static_cast<std::size_t>(2 * dataset->size()));
   for (const Record& record : dataset->records()) {
     std::vector<std::uint64_t> sig = generator.RecordSignature(record);
-    packed.insert(packed.end(), sig.begin(), sig.end());
 
     Bucket sig_bucket;
     sig_bucket.kind = BucketKind::kSignature;
@@ -124,62 +189,88 @@ Result<SignatureIndexing> SignatureIndexing::Build(
     buckets.push_back(std::move(data_bucket));
   }
 
+  // Record r's signature rides in bucket 2r.
+  std::vector<std::uint64_t> slices = SliceSignatures(
+      dataset->size(), static_cast<int>(geometry.signature_bytes * 8),
+      [&](std::size_t r) { return buckets[2 * r].signature.data(); });
+
   Result<Channel> channel = Channel::Create(std::move(buckets));
   if (!channel.ok()) return channel.status();
   return SignatureIndexing(std::move(dataset), generator,
-                           std::move(channel).value(), std::move(packed));
+                           std::move(channel).value(), std::move(slices));
 }
 
-int SignatureIndexing::CountMatches(const std::uint64_t* query, int first,
-                                    int count) const {
-  const int num = dataset_->size();
-  const int words = generator_.words();
-  int matches = 0;
-  int position = first;
-  for (int i = 0; i < count; ++i) {
-    const std::uint64_t* sig =
-        packed_.data() + static_cast<std::size_t>(position) *
-                             static_cast<std::size_t>(words);
-    if (SignatureGenerator::Matches(sig, query, words)) ++matches;
-    if (++position == num) position = 0;
+std::vector<std::size_t> SignatureIndexing::QueryRows(
+    std::string_view key) const {
+  const std::vector<std::uint64_t> query = generator_.QuerySignature(key);
+  std::vector<std::size_t> rows;
+  for (std::size_t w = 0; w < query.size(); ++w) {
+    for (std::uint64_t word = query[w]; word != 0; word &= word - 1) {
+      const std::size_t bit = w * 64 + static_cast<std::size_t>(
+                                           std::countr_zero(word));
+      rows.push_back(bit * blocks_);
+    }
   }
+  return rows;
+}
+
+template <typename Visit>
+void SignatureIndexing::Sift(const std::vector<std::size_t>& rows, int first,
+                             int count, Visit&& visit) const {
+  // AND the query's rows over the blocks of one linear range, masking the
+  // range's edge blocks.
+  const auto sift_linear = [&](int begin, int end) {
+    if (begin >= end) return;
+    const int first_block = begin / 64;
+    const int last_block = (end - 1) / 64;
+    for (int block = first_block; block <= last_block; ++block) {
+      std::uint64_t mask = ~0ULL;
+      if (block == first_block) mask &= ~0ULL << (begin % 64);
+      if (block == last_block) mask &= ~0ULL >> (63 - (end - 1) % 64);
+      // No early exit once the mask is zero: that branch mispredicts
+      // often enough to cost more than the remaining loads.
+      for (const std::size_t row : rows) {
+        mask &= slices_[row + static_cast<std::size_t>(block)];
+      }
+      if (mask != 0) visit(block, mask);
+    }
+  };
+  // The circular range is at most two linear ones: [first, num) and the
+  // wrapped [0, rest).
+  const int head = std::min(count, dataset_->size() - first);
+  sift_linear(first, first + head);
+  sift_linear(0, count - head);
+}
+
+int SignatureIndexing::CountSifted(const std::vector<std::size_t>& rows,
+                                   int first, int count) const {
+  int matches = 0;
+  Sift(rows, first, count, [&](int, std::uint64_t mask) {
+    matches += std::popcount(mask);
+  });
   return matches;
 }
 
-namespace {
-
-// Matches of `query` among `count` records starting at key-order position
-// `first` (circular) in a row-major signature table.
-int CountTableMatches(const std::uint64_t* table, const std::uint64_t* query,
-                      int first, int count, int num, int words) {
-  int matches = 0;
-  int position = first;
-  for (int i = 0; i < count; ++i) {
-    const std::uint64_t* sig =
-        table + static_cast<std::size_t>(position) *
-                    static_cast<std::size_t>(words);
-    if (SignatureGenerator::Matches(sig, query, words)) ++matches;
-    if (++position == num) position = 0;
+bool SignatureIndexing::RecordMatches(const std::vector<std::size_t>& rows,
+                                      int position) const {
+  const std::size_t block = static_cast<std::size_t>(position) / 64;
+  const int bit = position % 64;
+  for (const std::size_t row : rows) {
+    if (((slices_[row + block] >> bit) & 1) == 0) return false;
   }
-  return matches;
+  return true;
 }
 
-// Closed-form signature sift over either channel view; `table` is the
-// row-major signature table — the scheme's packed copy on the pointer
-// path, the arena's word pool (same layout: the flatten order appends the
-// alternating cycle's signature buckets in record order) on the arena
-// path.
+// Closed-form signature sift over either channel view: the view supplies
+// the bucket sizes, the slices the matches.
 template <typename View>
-AccessResult SignatureWalk(const View& view, std::string_view key,
-                           Bytes tune_in, const std::uint64_t* table,
-                           const Dataset& dataset,
-                           const SignatureGenerator& generator) {
+AccessResult SignatureIndexing::Walk(const View& view, std::string_view key,
+                                     Bytes tune_in) const {
   const Bytes it = view.bucket(0).size();   // signature bucket
   const Bytes dt = view.bucket(1).size();   // data bucket
   const Bytes period = it + dt;
-  const int pairs = dataset.size();
+  const int pairs = dataset_->size();
   const Bytes cycle = view.cycle_bytes();
-  const int words = generator.words();
 
   AccessResult result;
   // Listen until the next complete signature bucket.
@@ -195,12 +286,11 @@ AccessResult SignatureWalk(const View& view, std::string_view key,
   result.access_time = wait;
   result.tuning_time = wait;
 
-  const std::vector<std::uint64_t> query = generator.QuerySignature(key);
-  const int target = dataset.FindIndex(key);
+  const std::vector<std::size_t> rows = QueryRows(key);
+  const int target = dataset_->FindIndex(key);
   if (target >= 0) {
     const int scanned = (target - start + pairs) % pairs + 1;
-    const int matches =
-        CountTableMatches(table, query.data(), start, scanned, pairs, words);
+    const int matches = CountSifted(rows, start, scanned);
     result.false_drops = matches - 1;  // the target always matches
     result.probes = scanned + matches;
     result.index_probes = scanned;
@@ -213,32 +303,24 @@ AccessResult SignatureWalk(const View& view, std::string_view key,
 
   // Not on air: the client concludes only after one full cycle of
   // signatures; every match it downloaded was a false drop.
-  const int matches =
-      CountTableMatches(table, query.data(), start, pairs, pairs, words);
+  const int matches = CountSifted(rows, start, pairs);
   result.false_drops = matches;
   result.probes = pairs + matches;
   result.index_probes = pairs;
   result.tuning_time +=
       static_cast<Bytes>(pairs) * it + static_cast<Bytes>(matches) * dt;
-  const int last = (start + pairs - 1) % pairs;
-  const bool last_matched = SignatureGenerator::Matches(
-      table + static_cast<std::size_t>(last) * static_cast<std::size_t>(words),
-      query.data(), words);
+  const bool last_matched = RecordMatches(rows, (start + pairs - 1) % pairs);
   result.access_time += static_cast<Bytes>(pairs - 1) * period + it +
                         (last_matched ? dt : 0);
   return result;
 }
 
-}  // namespace
-
 AccessResult SignatureIndexing::Access(std::string_view key,
                                        Bytes tune_in) const {
   if (const ArenaChannelView* arena = arena_walk_.view_or_null()) {
-    return SignatureWalk(*arena, key, tune_in, arena->word_pool(), *dataset_,
-                         generator_);
+    return Walk(*arena, key, tune_in);
   }
-  return SignatureWalk(PointerChannelView(channel_), key, tune_in,
-                       packed_.data(), *dataset_, generator_);
+  return Walk(PointerChannelView(channel_), key, tune_in);
 }
 
 AccessResult SignatureIndexing::AccessReference(std::string_view key,
@@ -305,7 +387,6 @@ FilterResult SignatureIndexing::Filter(std::string_view value,
   const Bytes period = it + dt;
   const int pairs = dataset_->size();
   const Bytes cycle = channel_.cycle_bytes();
-  const int words = generator_.words();
 
   FilterResult result;
   // Listen until the next complete signature bucket (as in Access).
@@ -318,42 +399,30 @@ FilterResult SignatureIndexing::Filter(std::string_view value,
     wait = period - in_pair;
     start = static_cast<int>((pair_index + 1) % pairs);
   }
-  result.access_time = wait;
-  result.tuning_time = wait + static_cast<Bytes>(pairs) * it;
-  result.probes = pairs;
 
-  const std::vector<std::uint64_t> query = generator_.QuerySignature(value);
-  bool last_pair_downloaded = false;
-  int position = start;
-  for (int scanned = 0; scanned < pairs; ++scanned) {
-    const std::uint64_t* sig =
-        packed_.data() + static_cast<std::size_t>(position) *
-                             static_cast<std::size_t>(words);
-    const bool match = SignatureGenerator::Matches(sig, query.data(), words);
-    if (match) {
-      result.tuning_time += dt;
-      ++result.probes;
-      const Record& record = dataset_->record(position);
-      bool carries = false;
-      for (const std::string& attribute : record.attributes) {
-        if (attribute == value) {
-          carries = true;
-          break;
-        }
-      }
-      if (carries) {
+  // Sift one full cycle, downloading every match in broadcast order.
+  const std::vector<std::size_t> rows = QueryRows(value);
+  int downloads = 0;
+  Sift(rows, start, pairs, [&](int block, std::uint64_t mask) {
+    for (; mask != 0; mask &= mask - 1) {
+      const int position = block * 64 + std::countr_zero(mask);
+      ++downloads;
+      if (CarriesAttribute(dataset_->record(position), value)) {
         result.matches.push_back(position);
       } else {
         ++result.false_drops;
       }
     }
-    last_pair_downloaded = match;
-    if (++position == pairs) position = 0;
-  }
+  });
+  result.probes = pairs + downloads;
+  result.tuning_time = wait + static_cast<Bytes>(pairs) * it +
+                       static_cast<Bytes>(downloads) * dt;
   // The pass ends after the last pair's signature (plus its download when
   // the signature matched).
-  result.access_time += static_cast<Bytes>(pairs - 1) * period + it +
-                        (last_pair_downloaded ? dt : 0);
+  const bool last_pair_downloaded =
+      RecordMatches(rows, (start + pairs - 1) % pairs);
+  result.access_time = wait + static_cast<Bytes>(pairs - 1) * period + it +
+                       (last_pair_downloaded ? dt : 0);
   std::sort(result.matches.begin(), result.matches.end());
   return result;
 }
@@ -368,9 +437,8 @@ double SignatureIndexing::MeasureFalseDropRate(int sample_queries,
   for (int q = 0; q < sample_queries; ++q) {
     const int target =
         static_cast<int>(rng.NextBounded(static_cast<std::uint64_t>(num)));
-    const std::vector<std::uint64_t> query =
-        generator_.QuerySignature(dataset_->record(target).key);
-    const int matches = CountMatches(query.data(), 0, num);
+    const int matches =
+        CountSifted(QueryRows(dataset_->record(target).key), 0, num);
     drops += matches - 1;
     pairs_checked += num - 1;
   }
@@ -380,31 +448,31 @@ double SignatureIndexing::MeasureFalseDropRate(int sample_queries,
 Result<SignatureIndexing> SignatureIndexing::Restore(
     std::shared_ptr<const Dataset> dataset, const BucketGeometry& geometry,
     SignatureParams params, Channel channel) {
-  if (dataset == nullptr || dataset->size() == 0) {
-    return Status::InvalidArgument(
-        "signature restore needs a non-empty dataset");
+  if (Status status = ValidateParams(dataset, geometry, params);
+      !status.ok()) {
+    return status;
   }
   SignatureGenerator generator(geometry, params);
   const int words = generator.words();
+  const int bits = static_cast<int>(geometry.signature_bytes * 8);
   const int num_records = dataset->size();
-  std::vector<std::uint64_t> packed(
-      static_cast<std::size_t>(num_records) * static_cast<std::size_t>(words),
-      0);
-  std::vector<bool> seen(static_cast<std::size_t>(num_records), false);
+  // A signature carries no bit at or past the signature width.
+  const int tail_bits = bits % 64;
+  std::vector<const std::uint64_t*> signatures(
+      static_cast<std::size_t>(num_records), nullptr);
   int recovered = 0;
   for (std::size_t i = 0; i < channel.num_buckets(); ++i) {
     const Bucket& bucket = channel.bucket(i);
     if (bucket.kind != BucketKind::kSignature) continue;
     if (bucket.record_id < 0 || bucket.record_id >= num_records ||
         bucket.signature.size() != static_cast<std::size_t>(words) ||
-        seen[static_cast<std::size_t>(bucket.record_id)]) {
+        (tail_bits != 0 && (bucket.signature.back() >> tail_bits) != 0) ||
+        signatures[static_cast<std::size_t>(bucket.record_id)] != nullptr) {
       return Status::InvalidArgument(
           "signature restore: malformed signature bucket");
     }
-    std::copy(bucket.signature.begin(), bucket.signature.end(),
-              packed.begin() + static_cast<std::size_t>(bucket.record_id) *
-                                   static_cast<std::size_t>(words));
-    seen[static_cast<std::size_t>(bucket.record_id)] = true;
+    signatures[static_cast<std::size_t>(bucket.record_id)] =
+        bucket.signature.data();
     ++recovered;
   }
   if (recovered != num_records) {
@@ -412,8 +480,11 @@ Result<SignatureIndexing> SignatureIndexing::Restore(
         "signature restore: channel carries " + std::to_string(recovered) +
         " record signatures for " + std::to_string(num_records) + " records");
   }
+  std::vector<std::uint64_t> slices =
+      SliceSignatures(num_records, bits,
+                      [&](std::size_t r) { return signatures[r]; });
   return SignatureIndexing(std::move(dataset), generator, std::move(channel),
-                           std::move(packed));
+                           std::move(slices));
 }
 
 }  // namespace airindex

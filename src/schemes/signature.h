@@ -1,6 +1,7 @@
 #ifndef AIRINDEX_SCHEMES_SIGNATURE_H_
 #define AIRINDEX_SCHEMES_SIGNATURE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string_view>
@@ -91,9 +92,10 @@ class SignatureIndexing : public BroadcastScheme {
       std::shared_ptr<const Dataset> dataset, const BucketGeometry& geometry,
       SignatureParams params = SignatureParams());
 
-  /// Reattaches a channel inflated from a program arena. The packed
-  /// signature table is recovered from the channel's signature buckets
+  /// Reattaches a channel inflated from a program arena. The bit-sliced
+  /// signature file is recovered from the channel's signature buckets
   /// (each carries its record's full signature), so no rehashing runs.
+  /// Rejects the same parameters Build rejects.
   static Result<SignatureIndexing> Restore(
       std::shared_ptr<const Dataset> dataset, const BucketGeometry& geometry,
       SignatureParams params, Channel channel);
@@ -101,8 +103,9 @@ class SignatureIndexing : public BroadcastScheme {
   const Channel& channel() const override { return channel_; }
   const char* name() const override { return "signature indexing"; }
 
-  /// Closed-form protocol walk: O(range words) via the packed signature
-  /// table instead of bucket-by-bucket simulation.
+  /// Closed-form protocol walk over the bit-sliced signature file
+  /// instead of bucket-by-bucket simulation: k query bits × ⌈range/64⌉
+  /// words, k the query signature's set bits.
   AccessResult Access(std::string_view key, Bytes tune_in) const override;
 
   /// Bucket-by-bucket reference implementation (property tests).
@@ -122,8 +125,8 @@ class SignatureIndexing : public BroadcastScheme {
 
   const SignatureGenerator& generator() const { return generator_; }
 
-  /// The arena walk scans the arena's signature word pool, whose layout
-  /// for this alternating sig/data cycle equals the packed table.
+  /// The arena walk reads only bucket sizes from the arena; both views
+  /// sift the same in-memory signature slices.
   void AttachArena(std::shared_ptr<const ProgramArena> arena) override {
     arena_walk_.Attach(std::move(arena), channel_);
   }
@@ -131,17 +134,42 @@ class SignatureIndexing : public BroadcastScheme {
  private:
   SignatureIndexing(std::shared_ptr<const Dataset> dataset,
                     SignatureGenerator generator, Channel channel,
-                    std::vector<std::uint64_t> packed_signatures);
+                    std::vector<std::uint64_t> slices);
 
-  /// Matches of `query` among the `count` records starting at key-order
-  /// position `first` (circular).
-  int CountMatches(const std::uint64_t* query, int first, int count) const;
+  /// Protocol walk over either channel view (defined in signature.cc).
+  template <typename View>
+  AccessResult Walk(const View& view, std::string_view key,
+                    Bytes tune_in) const;
+
+  /// Offsets into slices_ of the rows of the query signature's set bits.
+  std::vector<std::size_t> QueryRows(std::string_view key) const;
+
+  /// The sift kernel: calls visit(block, mask) for each 64-record block
+  /// of the circular key-order range [first, first + count), in circular
+  /// order, where bit i of `mask` is set when record 64·block + i lies in
+  /// the range and its signature covers the query (its bit is set in
+  /// every row of `rows`). Blocks whose mask is 0 are skipped.
+  template <typename Visit>
+  void Sift(const std::vector<std::size_t>& rows, int first, int count,
+            Visit&& visit) const;
+
+  /// Records of the circular range [first, first + count) that match.
+  int CountSifted(const std::vector<std::size_t>& rows, int first,
+                  int count) const;
+
+  /// True when record `position` matches: one bit per query row.
+  bool RecordMatches(const std::vector<std::size_t>& rows,
+                     int position) const;
 
   std::shared_ptr<const Dataset> dataset_;
   SignatureGenerator generator_;
   Channel channel_;
-  /// Record signatures packed row-major: words() per record.
-  std::vector<std::uint64_t> packed_;
+  /// The signature file bit-sliced: one row of ⌈N/64⌉ words per signature
+  /// bit (signature_bytes·8 rows); bit r of row b is bit b of record r's
+  /// signature, records in key order.
+  std::vector<std::uint64_t> slices_;
+  /// Words per slice row: ⌈N/64⌉.
+  std::size_t blocks_;
   ArenaWalkSupport arena_walk_;
 };
 
