@@ -49,12 +49,6 @@
 //                  for tools/bench_merge to combine. Sweep benches
 //                  honour it; fig_fleet rejects it (the fleet engine has
 //                  its own internal sharding)
-//   --access-path P  client walk implementation: arena (default, offset
-//                  arithmetic over the flattened program) or pointer
-//                  (the original Bucket-object walk). Observably
-//                  identical by construction — the flag exists for
-//                  micro-benchmarking and bisection, and is deliberately
-//                  kept out of the JSON config block
 //   --scheduler S  slot scheduler: flat (default, the paper's layouts),
 //                  sqrt (square-root-rule broadcast disks over the
 //                  workload skew) or online (sqrt start + per-run
@@ -69,9 +63,9 @@
 // Every report's config block also embeds the fully-resolved shared-flag
 // set under `resolved.*` keys, so sharded partials and committed
 // baselines are self-describing; result-neutral knobs (--json, --shard,
-// --program-cache, --access-path, --jobs) are excluded so the CI
-// byte-identity gates keep holding across them. Readers tolerate
-// reports without these keys (config is an open key/value list).
+// --program-cache, --jobs) are excluded so the CI byte-identity gates
+// keep holding across them. Readers tolerate reports without these keys
+// (config is an open key/value list).
 
 #ifndef AIRINDEX_BENCH_BENCH_MAIN_H_
 #define AIRINDEX_BENCH_BENCH_MAIN_H_
@@ -124,9 +118,9 @@ struct BenchOptions {
   ScheduleParams schedule;
 };
 
-/// Parses the shared flags, ignoring anything it does not recognise (so a
-/// bench can layer extra flags on top). Prints to stderr and exits with
-/// status 2 on a malformed value (e.g. `--jobs` without a number).
+/// Parses the shared flags. Prints to stderr and exits with status 2 on
+/// an unknown flag (naming it) or a malformed value (e.g. `--jobs`
+/// without a number).
 BenchOptions ParseBenchOptions(int argc, char** argv);
 
 /// Copies the parsed multichannel flags into a testbed config. Testbed

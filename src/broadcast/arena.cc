@@ -13,6 +13,12 @@ constexpr std::size_t kAlign = 8;
 
 std::size_t AlignUp(std::size_t n) { return (n + kAlign - 1) & ~(kAlign - 1); }
 
+/// memcpy for a section that may be empty: an empty vector's data() may
+/// be null, and passing null to memcpy is undefined even for 0 bytes.
+void CopySection(void* dst, const void* src, std::size_t bytes) {
+  if (bytes > 0) std::memcpy(dst, src, bytes);
+}
+
 /// Deterministic string interner: first-touch append order, duplicates
 /// collapse to the first occurrence. The empty string is always {0, 0}.
 class StringPool {
@@ -141,17 +147,17 @@ ProgramArena ProgramArena::Flatten(const std::vector<const Channel*>& channels,
   arena.bytes_.assign(at, 0);  // alignment pads stay zero — determinism
   std::uint8_t* base = arena.bytes_.data();
   std::memcpy(base, &header, sizeof(header));
-  std::memcpy(base + header.channels_offset, descs.data(),
+  CopySection(base + header.channels_offset, descs.data(),
               descs.size() * sizeof(ArenaChannelDesc));
-  std::memcpy(base + header.buckets_offset, buckets.data(),
+  CopySection(base + header.buckets_offset, buckets.data(),
               buckets.size() * sizeof(ArenaBucket));
-  std::memcpy(base + header.entries_offset, entries.data(),
+  CopySection(base + header.entries_offset, entries.data(),
               entries.size() * sizeof(ArenaPointerEntry));
-  std::memcpy(base + header.words_offset, words.data(),
+  CopySection(base + header.words_offset, words.data(),
               words.size() * sizeof(std::uint64_t));
-  std::memcpy(base + header.strings_offset, strings.pool().data(),
+  CopySection(base + header.strings_offset, strings.pool().data(),
               strings.pool().size());
-  std::memcpy(base + header.aux_offset, aux.data(),
+  CopySection(base + header.aux_offset, aux.data(),
               aux.size() * sizeof(std::int64_t));
   return arena;
 }
@@ -207,7 +213,7 @@ std::string_view ProgramArena::str(const ArenaStrRef& ref) const {
 
 std::vector<std::int64_t> ProgramArena::aux() const {
   std::vector<std::int64_t> values(header().num_aux);
-  std::memcpy(values.data(), bytes_.data() + header().aux_offset,
+  CopySection(values.data(), bytes_.data() + header().aux_offset,
               values.size() * sizeof(std::int64_t));
   return values;
 }

@@ -10,12 +10,14 @@ namespace airindex {
 BroadcastDisks::BroadcastDisks(std::shared_ptr<const Dataset> dataset,
                                BroadcastDisksParams params, Channel channel,
                                std::vector<std::vector<Bytes>> occurrences,
-                               std::vector<int> disk_of)
+                               std::vector<int> disk_of,
+                               std::shared_ptr<const ProgramArena> arena)
     : dataset_(std::move(dataset)),
       params_(std::move(params)),
       channel_(std::move(channel)),
       occurrences_(std::move(occurrences)),
-      disk_of_(std::move(disk_of)) {}
+      disk_of_(std::move(disk_of)),
+      walk_(channel_, std::move(arena)) {}
 
 Result<BroadcastDisks> BroadcastDisks::Build(
     std::shared_ptr<const Dataset> dataset, const BucketGeometry& geometry,
@@ -64,7 +66,7 @@ int BroadcastDisks::DiskOf(int record) const {
 
 namespace {
 
-// Closed-form multi-disk scan over either channel view
+// Closed-form multi-disk scan over the channel view
 // (schemes/channel_view.h); the per-record occurrence table is build-time
 // state shared by both paths.
 template <typename View>
@@ -104,11 +106,8 @@ AccessResult BroadcastDisksWalk(
 
 AccessResult BroadcastDisks::Access(std::string_view key,
                                     Bytes tune_in) const {
-  if (const ArenaChannelView* arena = arena_walk_.view_or_null()) {
-    return BroadcastDisksWalk(*arena, key, tune_in, *dataset_, occurrences_);
-  }
-  return BroadcastDisksWalk(PointerChannelView(channel_), key, tune_in,
-                            *dataset_, occurrences_);
+  return BroadcastDisksWalk(walk_.view(), key, tune_in, *dataset_,
+                            occurrences_);
 }
 
 AccessResult BroadcastDisks::AccessReference(std::string_view key,
@@ -137,7 +136,7 @@ AccessResult BroadcastDisks::AccessReference(std::string_view key,
 
 Result<BroadcastDisks> BroadcastDisks::Restore(
     std::shared_ptr<const Dataset> dataset, BroadcastDisksParams params,
-    Channel channel) {
+    Channel channel, std::shared_ptr<const ProgramArena> arena) {
   if (dataset == nullptr || dataset->size() == 0) {
     return Status::InvalidArgument(
         "broadcast disks restore needs a non-empty dataset");
@@ -168,7 +167,7 @@ Result<BroadcastDisks> BroadcastDisks::Restore(
   }
   return BroadcastDisks(std::move(dataset), std::move(params),
                         std::move(channel), std::move(occurrences),
-                        assignment.value().DiskOfRecord());
+                        assignment.value().DiskOfRecord(), std::move(arena));
 }
 
 }  // namespace airindex

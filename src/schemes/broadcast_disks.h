@@ -50,9 +50,11 @@ class BroadcastDisks : public BroadcastScheme {
   /// occurrence table is recovered by one scan of the channel (Build
   /// emits occurrences in phase order) and the record→disk map is
   /// recomputed from `params` with Build's assignment rule.
-  static Result<BroadcastDisks> Restore(std::shared_ptr<const Dataset> dataset,
-                                        BroadcastDisksParams params,
-                                        Channel channel);
+  /// `arena` is the program `channel` was inflated from; the scheme
+  /// walks it and keeps it alive.
+  static Result<BroadcastDisks> Restore(
+      std::shared_ptr<const Dataset> dataset, BroadcastDisksParams params,
+      Channel channel, std::shared_ptr<const ProgramArena> arena);
 
   const Channel& channel() const override { return channel_; }
   const char* name() const override { return "broadcast disks"; }
@@ -62,10 +64,6 @@ class BroadcastDisks : public BroadcastScheme {
 
   /// Bucket-by-bucket reference walker (property tests).
   AccessResult AccessReference(std::string_view key, Bytes tune_in) const;
-
-  void AttachArena(std::shared_ptr<const ProgramArena> arena) override {
-    arena_walk_.Attach(std::move(arena), channel_);
-  }
 
   /// Number of times `record` appears in one major cycle.
   int OccurrencesOf(int record) const;
@@ -79,7 +77,8 @@ class BroadcastDisks : public BroadcastScheme {
   BroadcastDisks(std::shared_ptr<const Dataset> dataset,
                  BroadcastDisksParams params, Channel channel,
                  std::vector<std::vector<Bytes>> occurrences,
-                 std::vector<int> disk_of);
+                 std::vector<int> disk_of,
+                 std::shared_ptr<const ProgramArena> arena = nullptr);
 
   std::shared_ptr<const Dataset> dataset_;
   BroadcastDisksParams params_;
@@ -87,7 +86,7 @@ class BroadcastDisks : public BroadcastScheme {
   /// Per record: sorted start phases of its buckets in the major cycle.
   std::vector<std::vector<Bytes>> occurrences_;
   std::vector<int> disk_of_;
-  ArenaWalkSupport arena_walk_;
+  ArenaWalk walk_;
 };
 
 }  // namespace airindex

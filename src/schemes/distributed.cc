@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "analytical/models.h"
-#include "schemes/entry_search.h"
 
 namespace airindex {
 
@@ -172,30 +171,46 @@ Result<DistributedIndexing> DistributedIndexing::Build(
 
 namespace {
 
-// Trace-free distributed walk over either channel view
-// (schemes/channel_view.h). AccessTraced below is the traced pointer-path
-// twin; any protocol change must be applied to both.
-template <typename View>
+// The distributed protocol over the channel view (schemes/channel_view.h),
+// reporting every step to `sink` (schemes/trace.h): Access passes a
+// NullSink, AccessTraced a TraceSink.
+template <typename View, typename Sink>
 AccessResult DistributedWalk(const View& view, std::string_view key,
-                             Bytes tune_in, int tree_height) {
+                             Bytes tune_in, int tree_height, Sink sink) {
+  const auto doze_to = [&](Bytes phase, Bytes now, ProbeAction action,
+                           const char* note) {
+    const Bytes arrival = view.NextArrivalOfPhase(phase, now);
+    sink.Step(now, arrival - now, action, kNoBucket, note);
+    return arrival;
+  };
+
   AccessResult result;
   Bytes t = view.NextBoundaryTime(tune_in);
   result.tuning_time = t - tune_in;
+  sink.Step(tune_in, t - tune_in, ProbeAction::kInitialWait, kNoBucket,
+            "listen to the partial bucket");
 
   // First complete bucket: learn the offset to the next index segment.
   {
-    const auto first = view.bucket(view.BucketAtPhase(t % view.cycle_bytes()));
+    const std::size_t i = view.BucketAtPhase(t % view.cycle_bytes());
+    const auto first = view.bucket(i);
+    sink.Step(t, first.size(), ProbeAction::kRead, i,
+              "first complete bucket: take next-index-segment offset");
     t += first.size();
     result.tuning_time += first.size();
     ++result.probes;
     if (first.kind() == BucketKind::kIndex) ++result.index_probes;
-    t = view.NextArrivalOfPhase(first.next_index_segment_phase(), t);
+    t = doze_to(first.next_index_segment_phase(), t, ProbeAction::kDoze,
+                "to the next index segment");
   }
 
   const int max_probes = 6 * tree_height + 16;
   bool restarted = false;
   while (result.probes < max_probes) {
-    const auto bucket = view.bucket(view.BucketAtPhase(t % view.cycle_bytes()));
+    const std::size_t i = view.BucketAtPhase(t % view.cycle_bytes());
+    const auto bucket = view.bucket(i);
+    sink.IndexProbe(t, bucket.size(), i, bucket.range_lo(),
+                    bucket.range_hi());
     t += bucket.size();
     result.tuning_time += bucket.size();
     ++result.probes;
@@ -213,28 +228,47 @@ AccessResult DistributedWalk(const View& view, std::string_view key,
         break;
       }
       restarted = true;
-      t = view.NextArrivalOfPhase(0, t);
+      t = doze_to(0, t, ProbeAction::kRestart,
+                  "key already passed: wait for the next broadcast");
       continue;
     }
-    if (key < bucket.range_lo()) break;  // not on air
+    if (key < bucket.range_lo()) {
+      sink.Step(t, 0, ProbeAction::kConclude, kNoBucket,
+                "key below everything still to come: not on air");
+      break;
+    }
     if (key > bucket.range_hi()) {
       // Climb via the control index to the lowest ancestor covering K.
       const EntryView up = bucket.FindControlUp(key);
-      if (!up.found) break;  // key beyond the maximum key: not on air
-      t = view.NextArrivalOfPhase(up.target_phase, t);
+      if (!up.found) {
+        sink.Step(t, 0, ProbeAction::kConclude, kNoBucket,
+                  "key beyond the maximum key: not on air");
+        break;
+      }
+      t = doze_to(up.target_phase, t, ProbeAction::kClimb,
+                  "control index: to the next occurrence of an ancestor");
       continue;
     }
     // K within this subtree: descend.
     const EntryView entry = bucket.FindLocal(key);
-    if (!entry.found) break;  // key falls in a gap: not on air
-    t = view.NextArrivalOfPhase(entry.target_phase, t);
+    if (!entry.found) {
+      sink.Step(t, 0, ProbeAction::kConclude, kNoBucket,
+                "key falls in a gap between children: not on air");
+      break;
+    }
+    t = doze_to(entry.target_phase, t, ProbeAction::kDoze,
+                bucket.level() == 0 ? "to the data bucket"
+                                    : "descend to the child index bucket");
     if (bucket.level() == 0) {
-      const auto data =
-          view.bucket(view.BucketAtPhase(t % view.cycle_bytes()));
+      const std::size_t d = view.BucketAtPhase(t % view.cycle_bytes());
+      const auto data = view.bucket(d);
+      sink.Step(t, data.size(), ProbeAction::kDownload, d,
+                "requested record");
       t += data.size();
       result.tuning_time += data.size();
       ++result.probes;
       result.found = true;
+      sink.Step(t, 0, ProbeAction::kConclude, kNoBucket, "found");
       break;
     }
   }
@@ -247,137 +281,22 @@ AccessResult DistributedWalk(const View& view, std::string_view key,
 
 AccessResult DistributedIndexing::Access(std::string_view key,
                                          Bytes tune_in) const {
-  if (const ArenaChannelView* arena = arena_walk_.view_or_null()) {
-    return DistributedWalk(*arena, key, tune_in, tree_.height());
-  }
-  return DistributedWalk(PointerChannelView(channel_), key, tune_in,
-                         tree_.height());
+  return DistributedWalk(walk_.view(), key, tune_in, tree_.height(),
+                         NullSink());
 }
 
 AccessResult DistributedIndexing::AccessTraced(std::string_view key,
                                                Bytes tune_in,
                                                AccessTrace* trace) const {
-  const auto emit = [&](Bytes at, Bytes duration, ProbeAction action,
-                        std::size_t bucket, std::string note) {
-    if (trace != nullptr) {
-      trace->push_back(
-          ProbeEvent{at, duration, action, bucket, std::move(note)});
-    }
-  };
-  const auto doze_to = [&](Bytes phase, Bytes now, ProbeAction action,
-                           std::string note) {
-    const Bytes arrival = channel_.NextArrivalOfPhase(phase, now);
-    if (arrival != now || trace != nullptr) {
-      emit(now, arrival - now, action, static_cast<std::size_t>(-1),
-           std::move(note));
-    }
-    return arrival;
-  };
-
-  AccessResult result;
-  Bytes t = channel_.NextBoundaryTime(tune_in);
-  result.tuning_time = t - tune_in;
-  emit(tune_in, t - tune_in, ProbeAction::kInitialWait,
-       static_cast<std::size_t>(-1), "listen to the partial bucket");
-
-  // First complete bucket: learn the offset to the next index segment.
-  {
-    const std::size_t i = channel_.BucketAtPhase(t % channel_.cycle_bytes());
-    const Bucket& first = channel_.bucket(i);
-    emit(t, first.size, ProbeAction::kRead, i,
-         "first complete bucket: take next-index-segment offset");
-    t += first.size;
-    result.tuning_time += first.size;
-    ++result.probes;
-    if (first.kind == BucketKind::kIndex) ++result.index_probes;
-    t = doze_to(first.next_index_segment_phase, t, ProbeAction::kDoze,
-                "to the next index segment");
-  }
-
-  const int max_probes = 6 * tree_.height() + 16;
-  bool restarted = false;
-  while (result.probes < max_probes) {
-    const std::size_t i = channel_.BucketAtPhase(t % channel_.cycle_bytes());
-    const Bucket& bucket = channel_.bucket(i);
-    emit(t, bucket.size, ProbeAction::kRead, i,
-         "index probe, range [" + bucket.range_lo + ".." + bucket.range_hi +
-             "]");
-    t += bucket.size;
-    result.tuning_time += bucket.size;
-    ++result.probes;
-    if (bucket.kind != BucketKind::kIndex) {
-      ++result.anomalies;
-      break;
-    }
-    ++result.index_probes;
-    // "If K < the key most recently broadcast, go to the next broadcast":
-    // the record (if on air at all) already passed this cycle.
-    if (!bucket.last_broadcast_key.empty() &&
-        key <= bucket.last_broadcast_key) {
-      if (restarted) {  // cannot happen on a well-formed channel
-        ++result.anomalies;
-        break;
-      }
-      restarted = true;
-      t = doze_to(0, t, ProbeAction::kRestart,
-                  "key already passed: wait for the next broadcast");
-      continue;
-    }
-    if (key < bucket.range_lo) {
-      emit(t, 0, ProbeAction::kConclude, static_cast<std::size_t>(-1),
-           "key below everything still to come: not on air");
-      break;
-    }
-    if (key > bucket.range_hi) {
-      // Climb via the control index to the lowest ancestor covering K.
-      const PointerEntry* up = nullptr;
-      for (const PointerEntry& entry : bucket.control) {
-        if (key <= entry.key_hi) {
-          up = &entry;
-          break;
-        }
-      }
-      if (up == nullptr) {
-        emit(t, 0, ProbeAction::kConclude, static_cast<std::size_t>(-1),
-             "key beyond the maximum key: not on air");
-        break;
-      }
-      t = doze_to(up->target_phase, t, ProbeAction::kClimb,
-                  "control index: to the next occurrence of an ancestor");
-      continue;
-    }
-    // K within this subtree: descend.
-    const PointerEntry* entry = FindCoveringEntry(bucket.local, key);
-    if (entry == nullptr) {
-      emit(t, 0, ProbeAction::kConclude, static_cast<std::size_t>(-1),
-           "key falls in a gap between children: not on air");
-      break;
-    }
-    t = doze_to(entry->target_phase, t, ProbeAction::kDoze,
-                bucket.level == 0 ? "to the data bucket"
-                                  : "descend to the child index bucket");
-    if (bucket.level == 0) {
-      const std::size_t d =
-          channel_.BucketAtPhase(t % channel_.cycle_bytes());
-      const Bucket& data = channel_.bucket(d);
-      emit(t, data.size, ProbeAction::kDownload, d, "requested record");
-      t += data.size;
-      result.tuning_time += data.size;
-      ++result.probes;
-      result.found = true;
-      emit(t, 0, ProbeAction::kConclude, static_cast<std::size_t>(-1),
-           "found");
-      break;
-    }
-  }
-  if (result.probes >= max_probes && !result.found) ++result.anomalies;
-  result.access_time = t - tune_in;
-  return result;
+  if (trace == nullptr) return Access(key, tune_in);
+  return DistributedWalk(walk_.view(), key, tune_in, tree_.height(),
+                         TraceSink(trace));
 }
 
 Result<DistributedIndexing> DistributedIndexing::Restore(
     std::shared_ptr<const Dataset> dataset, const BucketGeometry& geometry,
-    Channel channel, int r, int num_segments) {
+    Channel channel, std::shared_ptr<const ProgramArena> arena, int r,
+    int num_segments) {
   if (dataset == nullptr || dataset->size() == 0) {
     return Status::InvalidArgument(
         "distributed restore needs a non-empty dataset");
@@ -393,7 +312,8 @@ Result<DistributedIndexing> DistributedIndexing::Restore(
         "distributed restore: r exceeds tree height");
   }
   return DistributedIndexing(std::move(dataset), std::move(tree).value(),
-                             std::move(channel), r, num_segments);
+                             std::move(channel), r, num_segments,
+                             std::move(arena));
 }
 
 }  // namespace airindex

@@ -41,25 +41,24 @@ class DistributedIndexing : public BroadcastScheme {
   /// Reattaches a channel inflated from a program arena. `r` and
   /// `num_segments` are the resolved values recorded at flatten time;
   /// the index tree is rebuilt deterministically.
+  /// `arena` is the program `channel` was inflated from; the scheme
+  /// walks it and keeps it alive.
   static Result<DistributedIndexing> Restore(
       std::shared_ptr<const Dataset> dataset, const BucketGeometry& geometry,
-      Channel channel, int r, int num_segments);
+      Channel channel, std::shared_ptr<const ProgramArena> arena, int r,
+      int num_segments);
 
   const Channel& channel() const override { return channel_; }
   const char* name() const override { return "distributed indexing"; }
 
   AccessResult Access(std::string_view key, Bytes tune_in) const override;
 
-  /// As Access, additionally appending one ProbeEvent per protocol step
-  /// to `trace` (pass nullptr to disable). Exposes the walk —
-  /// waits, probes, climbs, restarts, dozes — for debugging and for the
-  /// trace_explorer example.
+  /// As Access — the same walk, given a TraceSink — additionally
+  /// appending one ProbeEvent per protocol step to `trace` (pass nullptr
+  /// to disable). Exposes the walk — waits, probes, climbs, restarts,
+  /// dozes — for debugging and for the trace_explorer example.
   AccessResult AccessTraced(std::string_view key, Bytes tune_in,
                             AccessTrace* trace) const;
-
-  void AttachArena(std::shared_ptr<const ProgramArena> arena) override {
-    arena_walk_.Attach(std::move(arena), channel_);
-  }
 
   /// Replicated-level count actually used.
   int replicated_levels() const { return r_; }
@@ -72,19 +71,21 @@ class DistributedIndexing : public BroadcastScheme {
 
  private:
   DistributedIndexing(std::shared_ptr<const Dataset> dataset, BTree tree,
-                      Channel channel, int r, int num_segments)
+                      Channel channel, int r, int num_segments,
+                      std::shared_ptr<const ProgramArena> arena = nullptr)
       : dataset_(std::move(dataset)),
         tree_(std::move(tree)),
         channel_(std::move(channel)),
         r_(r),
-        num_segments_(num_segments) {}
+        num_segments_(num_segments),
+        walk_(channel_, std::move(arena)) {}
 
   std::shared_ptr<const Dataset> dataset_;
   BTree tree_;
   Channel channel_;
   int r_;
   int num_segments_;
-  ArenaWalkSupport arena_walk_;
+  ArenaWalk walk_;
 };
 
 }  // namespace airindex

@@ -27,7 +27,7 @@ Result<FlatBroadcast> FlatBroadcast::Build(
 
 namespace {
 
-// Closed-form flat walk over either channel view (schemes/channel_view.h).
+// Closed-form flat walk over the channel view (schemes/channel_view.h).
 template <typename View>
 AccessResult FlatWalk(const View& view, std::string_view key, Bytes tune_in,
                       const Dataset& dataset) {
@@ -59,10 +59,7 @@ AccessResult FlatWalk(const View& view, std::string_view key, Bytes tune_in,
 }  // namespace
 
 AccessResult FlatBroadcast::Access(std::string_view key, Bytes tune_in) const {
-  if (const ArenaChannelView* arena = arena_walk_.view_or_null()) {
-    return FlatWalk(*arena, key, tune_in, *dataset_);
-  }
-  return FlatWalk(PointerChannelView(channel_), key, tune_in, *dataset_);
+  return FlatWalk(walk_.view(), key, tune_in, *dataset_);
 }
 
 FilterResult FlatBroadcast::Filter(std::string_view value,
@@ -104,7 +101,8 @@ AccessResult FlatBroadcast::AccessReference(std::string_view key,
 }
 
 Result<FlatBroadcast> FlatBroadcast::Restore(
-    std::shared_ptr<const Dataset> dataset, Channel channel) {
+    std::shared_ptr<const Dataset> dataset, Channel channel,
+    std::shared_ptr<const ProgramArena> arena) {
   if (dataset == nullptr || dataset->size() == 0) {
     return Status::InvalidArgument("flat restore needs a non-empty dataset");
   }
@@ -113,7 +111,8 @@ Result<FlatBroadcast> FlatBroadcast::Restore(
         "flat restore: channel has " + std::to_string(channel.num_buckets()) +
         " buckets for " + std::to_string(dataset->size()) + " records");
   }
-  return FlatBroadcast(std::move(dataset), std::move(channel));
+  return FlatBroadcast(std::move(dataset), std::move(channel),
+                       std::move(arena));
 }
 
 }  // namespace airindex

@@ -30,8 +30,11 @@ class FlatBroadcast : public BroadcastScheme {
   /// Reattaches a channel inflated from a program arena (the scheme
   /// holds no derived state beyond the channel). Validates that the
   /// channel covers the dataset.
-  static Result<FlatBroadcast> Restore(std::shared_ptr<const Dataset> dataset,
-                                       Channel channel);
+  /// `arena` is the program `channel` was inflated from; the scheme
+  /// walks it and keeps it alive.
+  static Result<FlatBroadcast> Restore(
+      std::shared_ptr<const Dataset> dataset, Channel channel,
+      std::shared_ptr<const ProgramArena> arena);
 
   const Channel& channel() const override { return channel_; }
   const char* name() const override { return "flat broadcast"; }
@@ -47,17 +50,16 @@ class FlatBroadcast : public BroadcastScheme {
   /// client must listen to every data bucket of one full cycle.
   FilterResult Filter(std::string_view value, Bytes tune_in) const;
 
-  void AttachArena(std::shared_ptr<const ProgramArena> arena) override {
-    arena_walk_.Attach(std::move(arena), channel_);
-  }
-
  private:
-  FlatBroadcast(std::shared_ptr<const Dataset> dataset, Channel channel)
-      : dataset_(std::move(dataset)), channel_(std::move(channel)) {}
+  FlatBroadcast(std::shared_ptr<const Dataset> dataset, Channel channel,
+                std::shared_ptr<const ProgramArena> arena = nullptr)
+      : dataset_(std::move(dataset)),
+        channel_(std::move(channel)),
+        walk_(channel_, std::move(arena)) {}
 
   std::shared_ptr<const Dataset> dataset_;
   Channel channel_;
-  ArenaWalkSupport arena_walk_;
+  ArenaWalk walk_;
 };
 
 }  // namespace airindex

@@ -88,7 +88,7 @@ Result<SimpleHashing> SimpleHashing::Build(
 
 namespace {
 
-// The hashing protocol over either channel view (schemes/channel_view.h).
+// The hashing protocol over the channel view (schemes/channel_view.h).
 template <typename View>
 AccessResult HashingWalk(const View& view, std::string_view key, Bytes tune_in,
                          std::int64_t hash, const Dataset& dataset) {
@@ -159,16 +159,12 @@ AccessResult HashingWalk(const View& view, std::string_view key, Bytes tune_in,
 }  // namespace
 
 AccessResult SimpleHashing::Access(std::string_view key, Bytes tune_in) const {
-  const std::int64_t hash = HashKey(key);
-  if (const ArenaChannelView* arena = arena_walk_.view_or_null()) {
-    return HashingWalk(*arena, key, tune_in, hash, *dataset_);
-  }
-  return HashingWalk(PointerChannelView(channel_), key, tune_in, hash,
-                     *dataset_);
+  return HashingWalk(walk_.view(), key, tune_in, HashKey(key), *dataset_);
 }
 
 Result<SimpleHashing> SimpleHashing::Restore(
-    std::shared_ptr<const Dataset> dataset, Channel channel, int allocated) {
+    std::shared_ptr<const Dataset> dataset, Channel channel,
+    std::shared_ptr<const ProgramArena> arena, int allocated) {
   if (dataset == nullptr || dataset->size() == 0) {
     return Status::InvalidArgument("hashing restore needs a non-empty dataset");
   }
@@ -177,7 +173,8 @@ Result<SimpleHashing> SimpleHashing::Restore(
     return Status::InvalidArgument(
         "hashing restore: resolved slot count out of range");
   }
-  return SimpleHashing(std::move(dataset), std::move(channel), allocated);
+  return SimpleHashing(std::move(dataset), std::move(channel), allocated,
+                       std::move(arena));
 }
 
 }  // namespace airindex

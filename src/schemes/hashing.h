@@ -35,17 +35,16 @@ class SimpleHashing : public BroadcastScheme {
 
   /// Reattaches a channel inflated from a program arena. `allocated` is
   /// the resolved slot count Na recorded at flatten time.
-  static Result<SimpleHashing> Restore(std::shared_ptr<const Dataset> dataset,
-                                       Channel channel, int allocated);
+  /// `arena` is the program `channel` was inflated from; the scheme
+  /// walks it and keeps it alive.
+  static Result<SimpleHashing> Restore(
+      std::shared_ptr<const Dataset> dataset, Channel channel,
+      std::shared_ptr<const ProgramArena> arena, int allocated);
 
   const Channel& channel() const override { return channel_; }
   const char* name() const override { return "simple hashing"; }
 
   AccessResult Access(std::string_view key, Bytes tune_in) const override;
-
-  void AttachArena(std::shared_ptr<const ProgramArena> arena) override {
-    arena_walk_.Attach(std::move(arena), channel_);
-  }
 
   /// Number of allocated slots Na.
   int allocated() const { return allocated_; }
@@ -61,15 +60,17 @@ class SimpleHashing : public BroadcastScheme {
 
  private:
   SimpleHashing(std::shared_ptr<const Dataset> dataset, Channel channel,
-                int allocated)
+                int allocated,
+                std::shared_ptr<const ProgramArena> arena = nullptr)
       : dataset_(std::move(dataset)),
         channel_(std::move(channel)),
-        allocated_(allocated) {}
+        allocated_(allocated),
+        walk_(channel_, std::move(arena)) {}
 
   std::shared_ptr<const Dataset> dataset_;
   Channel channel_;
   int allocated_;
-  ArenaWalkSupport arena_walk_;
+  ArenaWalk walk_;
 };
 
 }  // namespace airindex

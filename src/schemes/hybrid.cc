@@ -161,8 +161,8 @@ Result<HybridIndexing> HybridIndexing::Build(
 
 namespace {
 
-// The hybrid tree-descent + in-group signature sift over either channel
-// view (schemes/channel_view.h).
+// The hybrid tree-descent + in-group signature sift over the channel view
+// (schemes/channel_view.h).
 template <typename View>
 AccessResult HybridWalk(const View& view, std::string_view key, Bytes tune_in,
                         const Dataset& dataset,
@@ -246,12 +246,8 @@ AccessResult HybridWalk(const View& view, std::string_view key, Bytes tune_in,
 
 AccessResult HybridIndexing::Access(std::string_view key,
                                     Bytes tune_in) const {
-  if (const ArenaChannelView* arena = arena_walk_.view_or_null()) {
-    return HybridWalk(*arena, key, tune_in, *dataset_, generator_,
-                      tree_.height(), group_size_);
-  }
-  return HybridWalk(PointerChannelView(channel_), key, tune_in, *dataset_,
-                    generator_, tree_.height(), group_size_);
+  return HybridWalk(walk_.view(), key, tune_in, *dataset_, generator_,
+                    tree_.height(), group_size_);
 }
 
 FilterResult HybridIndexing::Filter(std::string_view value,
@@ -317,7 +313,8 @@ FilterResult HybridIndexing::Filter(std::string_view value,
 
 Result<HybridIndexing> HybridIndexing::Restore(
     std::shared_ptr<const Dataset> dataset, const BucketGeometry& geometry,
-    SignatureParams params, Channel channel, int group_size, int m) {
+    SignatureParams params, Channel channel,
+    std::shared_ptr<const ProgramArena> arena, int group_size, int m) {
   if (dataset == nullptr || dataset->size() == 0) {
     return Status::InvalidArgument("hybrid restore needs a non-empty dataset");
   }
@@ -335,7 +332,7 @@ Result<HybridIndexing> HybridIndexing::Restore(
   if (!tree.ok()) return tree.status();
   return HybridIndexing(std::move(dataset), generator,
                         std::move(tree).value(), std::move(channel),
-                        group_size, m);
+                        group_size, m, std::move(arena));
 }
 
 }  // namespace airindex

@@ -44,10 +44,12 @@ class HybridIndexing : public BroadcastScheme {
   /// Reattaches a channel inflated from a program arena. `group_size`
   /// and `m` are the resolved values recorded at flatten time; the
   /// group tree is rebuilt deterministically.
-  static Result<HybridIndexing> Restore(std::shared_ptr<const Dataset> dataset,
-                                        const BucketGeometry& geometry,
-                                        SignatureParams params, Channel channel,
-                                        int group_size, int m);
+  /// `arena` is the program `channel` was inflated from; the scheme
+  /// walks it and keeps it alive.
+  static Result<HybridIndexing> Restore(
+      std::shared_ptr<const Dataset> dataset, const BucketGeometry& geometry,
+      SignatureParams params, Channel channel,
+      std::shared_ptr<const ProgramArena> arena, int group_size, int m);
 
   const Channel& channel() const override { return channel_; }
   const char* name() const override { return "hybrid index+signature"; }
@@ -59,10 +61,6 @@ class HybridIndexing : public BroadcastScheme {
   /// index segments.
   FilterResult Filter(std::string_view value, Bytes tune_in) const;
 
-  void AttachArena(std::shared_ptr<const ProgramArena> arena) override {
-    arena_walk_.Attach(std::move(arena), channel_);
-  }
-
   int group_size() const { return group_size_; }
   int m() const { return m_; }
   const BTree& tree() const { return tree_; }
@@ -70,13 +68,15 @@ class HybridIndexing : public BroadcastScheme {
  private:
   HybridIndexing(std::shared_ptr<const Dataset> dataset,
                  SignatureGenerator generator, BTree tree, Channel channel,
-                 int group_size, int m)
+                 int group_size, int m,
+                 std::shared_ptr<const ProgramArena> arena = nullptr)
       : dataset_(std::move(dataset)),
         generator_(generator),
         tree_(std::move(tree)),
         channel_(std::move(channel)),
         group_size_(group_size),
-        m_(m) {}
+        m_(m),
+        walk_(channel_, std::move(arena)) {}
 
   std::shared_ptr<const Dataset> dataset_;
   SignatureGenerator generator_;
@@ -84,7 +84,7 @@ class HybridIndexing : public BroadcastScheme {
   Channel channel_;
   int group_size_;
   int m_;
-  ArenaWalkSupport arena_walk_;
+  ArenaWalk walk_;
 };
 
 }  // namespace airindex

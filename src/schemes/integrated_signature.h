@@ -34,36 +34,37 @@ class IntegratedSignatureIndexing : public BroadcastScheme {
 
   /// Reattaches a channel inflated from a program arena; the generator
   /// is reconstructed from geometry + params (pure configuration).
+  /// `arena` is the program `channel` was inflated from; the scheme
+  /// walks it and keeps it alive.
   static Result<IntegratedSignatureIndexing> Restore(
       std::shared_ptr<const Dataset> dataset, const BucketGeometry& geometry,
-      SignatureParams params, Channel channel, int group_size);
+      SignatureParams params, Channel channel,
+      std::shared_ptr<const ProgramArena> arena, int group_size);
 
   const Channel& channel() const override { return channel_; }
   const char* name() const override { return "integrated signature"; }
 
   AccessResult Access(std::string_view key, Bytes tune_in) const override;
 
-  void AttachArena(std::shared_ptr<const ProgramArena> arena) override {
-    arena_walk_.Attach(std::move(arena), channel_);
-  }
-
   /// Records per signature group.
   int group_size() const { return group_size_; }
 
  private:
-  IntegratedSignatureIndexing(std::shared_ptr<const Dataset> dataset,
-                              SignatureGenerator generator, Channel channel,
-                              int group_size)
+  IntegratedSignatureIndexing(
+      std::shared_ptr<const Dataset> dataset, SignatureGenerator generator,
+      Channel channel, int group_size,
+      std::shared_ptr<const ProgramArena> arena = nullptr)
       : dataset_(std::move(dataset)),
         generator_(generator),
         channel_(std::move(channel)),
-        group_size_(group_size) {}
+        group_size_(group_size),
+        walk_(channel_, std::move(arena)) {}
 
   std::shared_ptr<const Dataset> dataset_;
   SignatureGenerator generator_;
   Channel channel_;
   int group_size_;
-  ArenaWalkSupport arena_walk_;
+  ArenaWalk walk_;
 };
 
 }  // namespace airindex

@@ -83,7 +83,7 @@ Result<MultiLevelSignatureIndexing> MultiLevelSignatureIndexing::Build(
 
 namespace {
 
-// The two-level signature sift over either channel view
+// The two-level signature sift over the channel view
 // (schemes/channel_view.h).
 template <typename View>
 AccessResult MultiLevelWalk(const View& view, std::string_view key,
@@ -173,17 +173,14 @@ AccessResult MultiLevelWalk(const View& view, std::string_view key,
 
 AccessResult MultiLevelSignatureIndexing::Access(std::string_view key,
                                                  Bytes tune_in) const {
-  if (const ArenaChannelView* arena = arena_walk_.view_or_null()) {
-    return MultiLevelWalk(*arena, key, tune_in, *dataset_, record_generator_,
-                          group_generator_, group_size_);
-  }
-  return MultiLevelWalk(PointerChannelView(channel_), key, tune_in, *dataset_,
+  return MultiLevelWalk(walk_.view(), key, tune_in, *dataset_,
                         record_generator_, group_generator_, group_size_);
 }
 
 Result<MultiLevelSignatureIndexing> MultiLevelSignatureIndexing::Restore(
     std::shared_ptr<const Dataset> dataset, const BucketGeometry& geometry,
-    SignatureParams params, Channel channel, int group_size) {
+    SignatureParams params, Channel channel,
+    std::shared_ptr<const ProgramArena> arena, int group_size) {
   if (dataset == nullptr || dataset->size() == 0) {
     return Status::InvalidArgument(
         "multi-level signature restore needs a non-empty dataset");
@@ -197,7 +194,7 @@ Result<MultiLevelSignatureIndexing> MultiLevelSignatureIndexing::Restore(
       ResolveGroupSignatureBytes(geometry, params, group_size), params);
   return MultiLevelSignatureIndexing(std::move(dataset), record_generator,
                                      group_generator, std::move(channel),
-                                     group_size);
+                                     group_size, std::move(arena));
 }
 
 }  // namespace airindex

@@ -32,18 +32,17 @@ class MultiLevelSignatureIndexing : public BroadcastScheme {
 
   /// Reattaches a channel inflated from a program arena; both
   /// generators are reconstructed from geometry + params.
+  /// `arena` is the program `channel` was inflated from; the scheme
+  /// walks it and keeps it alive.
   static Result<MultiLevelSignatureIndexing> Restore(
       std::shared_ptr<const Dataset> dataset, const BucketGeometry& geometry,
-      SignatureParams params, Channel channel, int group_size);
+      SignatureParams params, Channel channel,
+      std::shared_ptr<const ProgramArena> arena, int group_size);
 
   const Channel& channel() const override { return channel_; }
   const char* name() const override { return "multi-level signature"; }
 
   AccessResult Access(std::string_view key, Bytes tune_in) const override;
-
-  void AttachArena(std::shared_ptr<const ProgramArena> arena) override {
-    arena_walk_.Attach(std::move(arena), channel_);
-  }
 
   /// Records per group signature.
   int group_size() const { return group_size_; }
@@ -52,12 +51,15 @@ class MultiLevelSignatureIndexing : public BroadcastScheme {
   MultiLevelSignatureIndexing(std::shared_ptr<const Dataset> dataset,
                               SignatureGenerator record_generator,
                               SignatureGenerator group_generator,
-                              Channel channel, int group_size)
+                              Channel channel, int group_size,
+                              std::shared_ptr<const ProgramArena> arena =
+                                  nullptr)
       : dataset_(std::move(dataset)),
         record_generator_(record_generator),
         group_generator_(group_generator),
         channel_(std::move(channel)),
-        group_size_(group_size) {}
+        group_size_(group_size),
+        walk_(channel_, std::move(arena)) {}
 
   std::shared_ptr<const Dataset> dataset_;
   /// Record-level signatures (geometry.signature_bytes wide).
@@ -66,7 +68,7 @@ class MultiLevelSignatureIndexing : public BroadcastScheme {
   SignatureGenerator group_generator_;
   Channel channel_;
   int group_size_;
-  ArenaWalkSupport arena_walk_;
+  ArenaWalk walk_;
 };
 
 }  // namespace airindex

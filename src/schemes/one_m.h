@@ -37,18 +37,16 @@ class OneMIndexing : public BroadcastScheme {
   /// *resolved* replication count recorded at flatten time (never 0);
   /// the index tree is rebuilt — BTree::Build is deterministic and
   /// integer-only, so the restored scheme is observably identical.
-  static Result<OneMIndexing> Restore(std::shared_ptr<const Dataset> dataset,
-                                      const BucketGeometry& geometry,
-                                      Channel channel, int m);
+  /// `arena` is the program `channel` was inflated from; the scheme
+  /// walks it and keeps it alive.
+  static Result<OneMIndexing> Restore(
+      std::shared_ptr<const Dataset> dataset, const BucketGeometry& geometry,
+      Channel channel, std::shared_ptr<const ProgramArena> arena, int m);
 
   const Channel& channel() const override { return channel_; }
   const char* name() const override { return "(1,m) indexing"; }
 
   AccessResult Access(std::string_view key, Bytes tune_in) const override;
-
-  void AttachArena(std::shared_ptr<const ProgramArena> arena) override {
-    arena_walk_.Attach(std::move(arena), channel_);
-  }
 
   /// The replication count actually used.
   int m() const { return m_; }
@@ -58,17 +56,19 @@ class OneMIndexing : public BroadcastScheme {
 
  private:
   OneMIndexing(std::shared_ptr<const Dataset> dataset, BTree tree,
-               Channel channel, int m)
+               Channel channel, int m,
+               std::shared_ptr<const ProgramArena> arena = nullptr)
       : dataset_(std::move(dataset)),
         tree_(std::move(tree)),
         channel_(std::move(channel)),
-        m_(m) {}
+        m_(m),
+        walk_(channel_, std::move(arena)) {}
 
   std::shared_ptr<const Dataset> dataset_;
   BTree tree_;
   Channel channel_;
   int m_;
-  ArenaWalkSupport arena_walk_;
+  ArenaWalk walk_;
 };
 
 }  // namespace airindex

@@ -48,7 +48,7 @@ Result<ScheduledBroadcast> ScheduledBroadcast::Build(
       ScheduleAssignmentFor(params.schedule, dataset->size());
   if (!assignment.ok()) return assignment.status();
   return Assemble(base_kind, std::move(dataset), geometry, params,
-                  std::move(assignment).value(), nullptr);
+                  std::move(assignment).value(), nullptr, nullptr);
 }
 
 Result<ScheduledBroadcast> ScheduledBroadcast::BuildWithAssignment(
@@ -64,13 +64,14 @@ Result<ScheduledBroadcast> ScheduledBroadcast::BuildWithAssignment(
         "scheduled broadcast: assignment does not cover the dataset");
   }
   return Assemble(base_kind, std::move(dataset), geometry, params,
-                  std::move(assignment), nullptr);
+                  std::move(assignment), nullptr, nullptr);
 }
 
 Result<ScheduledBroadcast> ScheduledBroadcast::Restore(
     SchemeKind base_kind, std::shared_ptr<const Dataset> dataset,
     const BucketGeometry& geometry, const SchemeParams& params,
-    Channel channel, const std::vector<std::int64_t>& aux) {
+    Channel channel, std::shared_ptr<const ProgramArena> arena,
+    const std::vector<std::int64_t>& aux) {
   if (dataset == nullptr || dataset->size() == 0) {
     return Status::InvalidArgument(
         "scheduled restore needs a non-empty dataset");
@@ -122,13 +123,14 @@ Result<ScheduledBroadcast> ScheduledBroadcast::Restore(
   SchemeParams resolved = params;
   resolved.schedule.rotation_slots = static_cast<int>(aux.back());
   return Assemble(base_kind, std::move(dataset), geometry, resolved,
-                  std::move(assignment), &channel);
+                  std::move(assignment), &channel, std::move(arena));
 }
 
 Result<ScheduledBroadcast> ScheduledBroadcast::Assemble(
     SchemeKind base_kind, std::shared_ptr<const Dataset> dataset,
     const BucketGeometry& geometry, const SchemeParams& params,
-    DiskAssignment assignment, Channel* existing) {
+    DiskAssignment assignment, Channel* existing,
+    std::shared_ptr<const ProgramArena> arena) {
   const int num_records = dataset->size();
   const Bytes dt = geometry.data_bucket_bytes();
 
@@ -200,25 +202,28 @@ Result<ScheduledBroadcast> ScheduledBroadcast::Assemble(
   // Canonical cycle: per minor cycle, the index segment then that minor's
   // data chunk (the chunked emission that keeps exact per-cycle
   // accounting).
-  const DiskLayout layout = BuildDiskLayout(assignment);
-  const int minors = assignment.max_frequency();
   std::vector<SlotPlan> plan;
-  plan.reserve(layout.slot_record.size() +
-               segment.size() * static_cast<std::size_t>(minors));
-  for (int minor = 0; minor < minors; ++minor) {
-    for (std::size_t s = 0; s < segment.size(); ++s) {
-      SlotPlan slot;
-      slot.bucket = segment[s];
-      slot.segment_head = s == 0;
-      plan.push_back(std::move(slot));
-    }
-    for (int i = layout.minor_begin[static_cast<std::size_t>(minor)];
-         i < layout.minor_begin[static_cast<std::size_t>(minor) + 1]; ++i) {
-      SlotPlan slot;
-      slot.bucket.kind = BucketKind::kData;
-      slot.bucket.size = dt;
-      slot.bucket.record_id = layout.slot_record[static_cast<std::size_t>(i)];
-      plan.push_back(std::move(slot));
+  {  // Scoped: the layout is freed before the scheme flattens its channel.
+    const DiskLayout layout = BuildDiskLayout(assignment);
+    const int minors = assignment.max_frequency();
+    plan.reserve(layout.slot_record.size() +
+                 segment.size() * static_cast<std::size_t>(minors));
+    for (int minor = 0; minor < minors; ++minor) {
+      for (std::size_t s = 0; s < segment.size(); ++s) {
+        SlotPlan slot;
+        slot.bucket = segment[s];
+        slot.segment_head = s == 0;
+        plan.push_back(std::move(slot));
+      }
+      for (int i = layout.minor_begin[static_cast<std::size_t>(minor)];
+           i < layout.minor_begin[static_cast<std::size_t>(minor) + 1]; ++i) {
+        SlotPlan slot;
+        slot.bucket.kind = BucketKind::kData;
+        slot.bucket.size = dt;
+        slot.bucket.record_id =
+            layout.slot_record[static_cast<std::size_t>(i)];
+        plan.push_back(std::move(slot));
+      }
     }
   }
 
@@ -276,14 +281,18 @@ Result<ScheduledBroadcast> ScheduledBroadcast::Assemble(
   }
   Result<Channel> final_channel = [&]() -> Result<Channel> {
     if (existing != nullptr) return std::move(*existing);
+    // Consumed here, so the plan's bucket shells are freed before the
+    // scheme flattens the channel.
+    std::vector<SlotPlan> consumed = std::move(plan);
     std::vector<Bucket> buckets;
-    buckets.reserve(plan.size());
-    for (SlotPlan& slot : plan) buckets.push_back(std::move(slot.bucket));
+    buckets.reserve(consumed.size());
+    for (SlotPlan& slot : consumed) buckets.push_back(std::move(slot.bucket));
     return Channel::Create(std::move(buckets));
   }();
   if (!final_channel.ok()) return final_channel.status();
 
-  ScheduledBroadcast scheme(std::move(final_channel).value());
+  ScheduledBroadcast scheme(std::move(final_channel).value(),
+                            std::move(arena));
   scheme.style_ = style;
   scheme.rotation_slots_ = rotation_slots;
   scheme.tree_height_ = tree_height;
@@ -319,9 +328,9 @@ int ScheduledBroadcast::DescentProbes(int record) const {
   return 0;
 }
 
-template <typename View>
-AccessResult ScheduledBroadcast::Walk(const View& view, std::string_view key,
-                                      Bytes tune_in) const {
+AccessResult ScheduledBroadcast::Access(std::string_view key,
+                                        Bytes tune_in) const {
+  const ArenaChannelView& view = walk_.view();
   const Bytes dt = view.bucket(0).size();
   const Bytes cycle = view.cycle_bytes();
   AccessResult result;
@@ -381,14 +390,6 @@ AccessResult ScheduledBroadcast::Walk(const View& view, std::string_view key,
     result.access_time = descent_end - tune_in;
   }
   return result;
-}
-
-AccessResult ScheduledBroadcast::Access(std::string_view key,
-                                        Bytes tune_in) const {
-  if (const ArenaChannelView* arena = arena_walk_.view_or_null()) {
-    return Walk(*arena, key, tune_in);
-  }
-  return Walk(PointerChannelView(channel_), key, tune_in);
 }
 
 std::vector<std::int64_t> ScheduledBroadcast::FlattenAux() const {

@@ -77,17 +77,17 @@ class ScheduledBroadcast : public BroadcastScheme {
   /// rotation); the identity record order is assumed — the arena cache
   /// only ever stores planned (not online-evolved) programs — and the
   /// channel is validated slot-by-slot against the recomputed layout.
+  /// `arena` is the program `channel` was inflated from; the scheme
+  /// walks it and keeps it alive.
   static Result<ScheduledBroadcast> Restore(
       SchemeKind base_kind, std::shared_ptr<const Dataset> dataset,
       const BucketGeometry& geometry, const SchemeParams& params,
-      Channel channel, const std::vector<std::int64_t>& aux);
+      Channel channel, std::shared_ptr<const ProgramArena> arena,
+      const std::vector<std::int64_t>& aux);
 
   const Channel& channel() const override { return channel_; }
   AccessResult Access(std::string_view key, Bytes tune_in) const override;
   const char* name() const override { return name_.c_str(); }
-  void AttachArena(std::shared_ptr<const ProgramArena> arena) override {
-    arena_walk_.Attach(std::move(arena), channel_);
-  }
 
   /// The slot assignment in effect.
   const DiskAssignment& assignment() const { return assignment_; }
@@ -128,25 +128,22 @@ class ScheduledBroadcast : public BroadcastScheme {
   std::vector<std::int64_t> FlattenAux() const;
 
  private:
-  explicit ScheduledBroadcast(Channel channel)
-      : channel_(std::move(channel)) {}
-
-  /// The closed-form client walk over either channel view.
-  template <typename View>
-  AccessResult Walk(const View& view, std::string_view key,
-                    Bytes tune_in) const;
+  ScheduledBroadcast(Channel channel, std::shared_ptr<const ProgramArena> arena)
+      : channel_(std::move(channel)), walk_(channel_, std::move(arena)) {}
 
   /// Index buckets an index descent reads for the present record
   /// `record` (after the initial tune-in probe).
   int DescentProbes(int record) const;
 
   /// Shared Build/Restore core: derives every table from the assignment
-  /// and either emits the channel (Build) or validates `existing`
-  /// against the expected layout (Restore).
+  /// and either emits the channel (Build) or validates `existing`, the
+  /// channel inflated from `arena`, against the expected layout
+  /// (Restore).
   static Result<ScheduledBroadcast> Assemble(
       SchemeKind base_kind, std::shared_ptr<const Dataset> dataset,
       const BucketGeometry& geometry, const SchemeParams& params,
-      DiskAssignment assignment, Channel* existing);
+      DiskAssignment assignment, Channel* existing,
+      std::shared_ptr<const ProgramArena> arena);
 
   std::shared_ptr<const Dataset> dataset_;
   std::string name_;
@@ -167,7 +164,7 @@ class ScheduledBroadcast : public BroadcastScheme {
   std::vector<std::vector<int>> record_buckets_;
   /// Sorted start phases of the index segments (empty for kNone).
   std::vector<Bytes> segment_starts_;
-  ArenaWalkSupport arena_walk_;
+  ArenaWalk walk_;
 };
 
 }  // namespace airindex

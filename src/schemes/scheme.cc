@@ -47,34 +47,6 @@ Result<std::unique_ptr<BroadcastScheme>> Wrap(Result<T> built) {
       std::make_unique<T>(std::move(built).value()));
 }
 
-/// Keep-alive decorator for restored schemes: the inflated channel's key
-/// views point into the arena's string pool, so the arena must outlive
-/// the scheme. Member order matters — arena_ is declared first so it is
-/// destroyed after inner_.
-class ArenaBackedScheme : public BroadcastScheme {
- public:
-  ArenaBackedScheme(std::shared_ptr<const ProgramArena> arena,
-                    std::unique_ptr<BroadcastScheme> inner)
-      : arena_(std::move(arena)), inner_(std::move(inner)) {}
-
-  const Channel& channel() const override { return inner_->channel(); }
-  AccessResult Access(std::string_view key, Bytes tune_in) const override {
-    return inner_->Access(key, tune_in);
-  }
-  const char* name() const override { return inner_->name(); }
-  void AttachArena(std::shared_ptr<const ProgramArena> arena) override {
-    inner_->AttachArena(std::move(arena));
-  }
-
-  /// The wrapped concrete scheme — FlattenSchemeProgram unwraps through
-  /// this so a restored scheme can be re-flattened.
-  const BroadcastScheme& inner() const { return *inner_; }
-
- private:
-  std::shared_ptr<const ProgramArena> arena_;
-  std::unique_ptr<BroadcastScheme> inner_;
-};
-
 SignatureParams SignatureParamsOf(const SchemeParams& params) {
   SignatureParams signature_params;
   signature_params.bits_per_attribute = params.signature_bits_per_attribute;
@@ -86,93 +58,52 @@ SignatureParams SignatureParamsOf(const SchemeParams& params) {
 Result<std::unique_ptr<BroadcastScheme>> BuildScheme(
     SchemeKind kind, std::shared_ptr<const Dataset> dataset,
     const BucketGeometry& geometry, const SchemeParams& params) {
-  SignatureParams signature_params;
-  signature_params.bits_per_attribute = params.signature_bits_per_attribute;
-  Result<std::unique_ptr<BroadcastScheme>> built =
-      Status::InvalidArgument("unknown scheme kind");
   if (params.schedule.active()) {
     // An active scheduler reroutes every kind through the skew-aware
     // scheduled program, which reuses the kind's index family over the
     // square-root-rule slot schedule.
-    built =
-        Wrap(ScheduledBroadcast::Build(kind, std::move(dataset), geometry,
-                                       params));
-    if (!built.ok()) return built;
-    Result<ProgramArena> arena = FlattenSchemeProgram(
-        kind, *built.value(), /*dataset_fingerprint=*/0,
-        /*params_fingerprint=*/0);
-    if (arena.ok()) {
-      built.value()->AttachArena(
-          std::make_shared<const ProgramArena>(std::move(arena).value()));
-    }
-    return built;
+    return Wrap(ScheduledBroadcast::Build(kind, std::move(dataset), geometry,
+                                          params));
   }
   switch (kind) {
     case SchemeKind::kFlat:
-      built = Wrap(FlatBroadcast::Build(std::move(dataset), geometry));
-      break;
+      return Wrap(FlatBroadcast::Build(std::move(dataset), geometry));
     case SchemeKind::kOneM:
-      built = Wrap(
+      return Wrap(
           OneMIndexing::Build(std::move(dataset), geometry, params.one_m_m));
-      break;
     case SchemeKind::kDistributed:
-      built = Wrap(DistributedIndexing::Build(std::move(dataset), geometry,
-                                              params.distributed_r));
-      break;
+      return Wrap(DistributedIndexing::Build(std::move(dataset), geometry,
+                                             params.distributed_r));
     case SchemeKind::kHashing:
-      built = Wrap(SimpleHashing::Build(std::move(dataset), geometry,
-                                        params.hashing_allocation_factor));
-      break;
+      return Wrap(SimpleHashing::Build(std::move(dataset), geometry,
+                                       params.hashing_allocation_factor));
     case SchemeKind::kSignature:
-      built = Wrap(SignatureIndexing::Build(std::move(dataset), geometry,
-                                            signature_params));
-      break;
+      return Wrap(SignatureIndexing::Build(std::move(dataset), geometry,
+                                           SignatureParamsOf(params)));
     case SchemeKind::kIntegratedSignature:
-      built = Wrap(IntegratedSignatureIndexing::Build(
-          std::move(dataset), geometry, signature_params,
+      return Wrap(IntegratedSignatureIndexing::Build(
+          std::move(dataset), geometry, SignatureParamsOf(params),
           params.signature_group_size));
-      break;
     case SchemeKind::kMultiLevelSignature:
-      built = Wrap(MultiLevelSignatureIndexing::Build(
-          std::move(dataset), geometry, signature_params,
+      return Wrap(MultiLevelSignatureIndexing::Build(
+          std::move(dataset), geometry, SignatureParamsOf(params),
           params.signature_group_size));
-      break;
     case SchemeKind::kBroadcastDisks:
-      built = Wrap(BroadcastDisks::Build(std::move(dataset), geometry,
-                                         params.broadcast_disks));
-      break;
+      return Wrap(BroadcastDisks::Build(std::move(dataset), geometry,
+                                        params.broadcast_disks));
     case SchemeKind::kHybrid:
-      built = Wrap(HybridIndexing::Build(std::move(dataset), geometry,
-                                         signature_params,
-                                         params.signature_group_size,
-                                         params.hybrid_m));
-      break;
+      return Wrap(HybridIndexing::Build(std::move(dataset), geometry,
+                                        SignatureParamsOf(params),
+                                        params.signature_group_size,
+                                        params.hybrid_m));
   }
-  if (!built.ok()) return built;
-  // Offer the scheme its flattened program so Access() runs arena-native
-  // (schemes/channel_view.h). The fingerprints are irrelevant here — the
-  // arena never leaves this process — and a flatten failure just leaves
-  // the scheme on its pointer walk.
-  Result<ProgramArena> arena =
-      FlattenSchemeProgram(kind, *built.value(), /*dataset_fingerprint=*/0,
-                           /*params_fingerprint=*/0);
-  if (arena.ok()) {
-    built.value()->AttachArena(
-        std::make_shared<const ProgramArena>(std::move(arena).value()));
-  }
-  return built;
+  return Status::InvalidArgument("unknown scheme kind");
 }
 
 Result<ProgramArena> FlattenSchemeProgram(SchemeKind kind,
                                           const BroadcastScheme& scheme,
                                           std::uint64_t dataset_fingerprint,
                                           std::uint64_t params_fingerprint) {
-  // A restored scheme arrives wrapped in its arena keep-alive decorator;
-  // flatten the concrete scheme inside it.
-  if (const auto* wrapped = dynamic_cast<const ArenaBackedScheme*>(&scheme)) {
-    return FlattenSchemeProgram(kind, wrapped->inner(), dataset_fingerprint,
-                                params_fingerprint);
-  }
   // A scheduled program flattens its resolved assignment instead of the
   // base kind's scalars; kAuxTag keeps the two aux layouts unmistakable.
   if (const auto* scheduled = dynamic_cast<const ScheduledBroadcast*>(&scheme)) {
@@ -285,91 +216,79 @@ Result<std::unique_ptr<BroadcastScheme>> RestoreSchemeFromArena(
     return Status::Ok();
   };
 
-  Result<std::unique_ptr<BroadcastScheme>> inner =
-      Status::InvalidArgument("unknown scheme kind");
+  // Every concrete Restore binds `arena` as its walk surface, which also
+  // keeps alive the string pool the inflated channel's key views point
+  // into.
   if (params.schedule.active()) {
-    inner = Wrap(ScheduledBroadcast::Restore(kind, dataset, geometry, params,
-                                             std::move(channel), aux));
-    if (!inner.ok()) return inner.status();
-    inner.value()->AttachArena(arena);
-    return std::unique_ptr<BroadcastScheme>(
-        std::make_unique<ArenaBackedScheme>(std::move(arena),
-                                            std::move(inner).value()));
+    return Wrap(ScheduledBroadcast::Restore(kind, std::move(dataset),
+                                            geometry, params,
+                                            std::move(channel),
+                                            std::move(arena), aux));
   }
   switch (kind) {
     case SchemeKind::kFlat: {
       Status s = check_aux(0);
       if (!s.ok()) return s;
-      inner = Wrap(FlatBroadcast::Restore(dataset, std::move(channel)));
-      break;
+      return Wrap(FlatBroadcast::Restore(dataset, std::move(channel),
+                                         std::move(arena)));
     }
     case SchemeKind::kOneM: {
       Status s = check_aux(1);
       if (!s.ok()) return s;
-      inner = Wrap(OneMIndexing::Restore(dataset, geometry, std::move(channel),
-                                         aux_int(0)));
-      break;
+      return Wrap(OneMIndexing::Restore(dataset, geometry, std::move(channel),
+                                        std::move(arena), aux_int(0)));
     }
     case SchemeKind::kDistributed: {
       Status s = check_aux(2);
       if (!s.ok()) return s;
-      inner = Wrap(DistributedIndexing::Restore(
-          dataset, geometry, std::move(channel), aux_int(0), aux_int(1)));
-      break;
+      return Wrap(DistributedIndexing::Restore(
+          dataset, geometry, std::move(channel), std::move(arena), aux_int(0),
+          aux_int(1)));
     }
     case SchemeKind::kHashing: {
       Status s = check_aux(1);
       if (!s.ok()) return s;
-      inner =
-          Wrap(SimpleHashing::Restore(dataset, std::move(channel), aux_int(0)));
-      break;
+      return Wrap(SimpleHashing::Restore(dataset, std::move(channel),
+                                         std::move(arena), aux_int(0)));
     }
     case SchemeKind::kSignature: {
       Status s = check_aux(0);
       if (!s.ok()) return s;
-      inner = Wrap(SignatureIndexing::Restore(
-          dataset, geometry, SignatureParamsOf(params), std::move(channel)));
-      break;
+      return Wrap(SignatureIndexing::Restore(dataset, geometry,
+                                             SignatureParamsOf(params),
+                                             std::move(channel),
+                                             std::move(arena)));
     }
     case SchemeKind::kIntegratedSignature: {
       Status s = check_aux(1);
       if (!s.ok()) return s;
-      inner = Wrap(IntegratedSignatureIndexing::Restore(
+      return Wrap(IntegratedSignatureIndexing::Restore(
           dataset, geometry, SignatureParamsOf(params), std::move(channel),
-          aux_int(0)));
-      break;
+          std::move(arena), aux_int(0)));
     }
     case SchemeKind::kMultiLevelSignature: {
       Status s = check_aux(1);
       if (!s.ok()) return s;
-      inner = Wrap(MultiLevelSignatureIndexing::Restore(
+      return Wrap(MultiLevelSignatureIndexing::Restore(
           dataset, geometry, SignatureParamsOf(params), std::move(channel),
-          aux_int(0)));
-      break;
+          std::move(arena), aux_int(0)));
     }
     case SchemeKind::kBroadcastDisks: {
       Status s = check_aux(0);
       if (!s.ok()) return s;
-      inner = Wrap(BroadcastDisks::Restore(dataset, params.broadcast_disks,
-                                           std::move(channel)));
-      break;
+      return Wrap(BroadcastDisks::Restore(dataset, params.broadcast_disks,
+                                          std::move(channel),
+                                          std::move(arena)));
     }
     case SchemeKind::kHybrid: {
       Status s = check_aux(2);
       if (!s.ok()) return s;
-      inner = Wrap(HybridIndexing::Restore(dataset, geometry,
-                                           SignatureParamsOf(params),
-                                           std::move(channel), aux_int(0),
-                                           aux_int(1)));
-      break;
+      return Wrap(HybridIndexing::Restore(
+          dataset, geometry, SignatureParamsOf(params), std::move(channel),
+          std::move(arena), aux_int(0), aux_int(1)));
     }
   }
-  if (!inner.ok()) return inner.status();
-  // The loaded arena doubles as the walk surface: attach it before
-  // wrapping so Access() runs arena-native on restored schemes too.
-  inner.value()->AttachArena(arena);
-  return std::unique_ptr<BroadcastScheme>(std::make_unique<ArenaBackedScheme>(
-      std::move(arena), std::move(inner).value()));
+  return Status::InvalidArgument("unknown scheme kind");
 }
 
 }  // namespace airindex

@@ -154,12 +154,14 @@ bool CarriesAttribute(const Record& record, std::string_view value) {
 SignatureIndexing::SignatureIndexing(std::shared_ptr<const Dataset> dataset,
                                      SignatureGenerator generator,
                                      Channel channel,
-                                     std::vector<std::uint64_t> slices)
+                                     std::vector<std::uint64_t> slices,
+                                     std::shared_ptr<const ProgramArena> arena)
     : dataset_(std::move(dataset)),
       generator_(generator),
       channel_(std::move(channel)),
       slices_(std::move(slices)),
-      blocks_(BlocksFor(dataset_->size())) {}
+      blocks_(BlocksFor(dataset_->size())),
+      walk_(channel_, std::move(arena)) {}
 
 Result<SignatureIndexing> SignatureIndexing::Build(
     std::shared_ptr<const Dataset> dataset, const BucketGeometry& geometry,
@@ -261,11 +263,11 @@ bool SignatureIndexing::RecordMatches(const std::vector<std::size_t>& rows,
   return true;
 }
 
-// Closed-form signature sift over either channel view: the view supplies
-// the bucket sizes, the slices the matches.
-template <typename View>
-AccessResult SignatureIndexing::Walk(const View& view, std::string_view key,
-                                     Bytes tune_in) const {
+// Closed-form signature sift: the channel view supplies the bucket
+// sizes, the slices the matches.
+AccessResult SignatureIndexing::Access(std::string_view key,
+                                       Bytes tune_in) const {
+  const ArenaChannelView& view = walk_.view();
   const Bytes it = view.bucket(0).size();   // signature bucket
   const Bytes dt = view.bucket(1).size();   // data bucket
   const Bytes period = it + dt;
@@ -313,14 +315,6 @@ AccessResult SignatureIndexing::Walk(const View& view, std::string_view key,
   result.access_time += static_cast<Bytes>(pairs - 1) * period + it +
                         (last_matched ? dt : 0);
   return result;
-}
-
-AccessResult SignatureIndexing::Access(std::string_view key,
-                                       Bytes tune_in) const {
-  if (const ArenaChannelView* arena = arena_walk_.view_or_null()) {
-    return Walk(*arena, key, tune_in);
-  }
-  return Walk(PointerChannelView(channel_), key, tune_in);
 }
 
 AccessResult SignatureIndexing::AccessReference(std::string_view key,
@@ -447,7 +441,8 @@ double SignatureIndexing::MeasureFalseDropRate(int sample_queries,
 
 Result<SignatureIndexing> SignatureIndexing::Restore(
     std::shared_ptr<const Dataset> dataset, const BucketGeometry& geometry,
-    SignatureParams params, Channel channel) {
+    SignatureParams params, Channel channel,
+    std::shared_ptr<const ProgramArena> arena) {
   if (Status status = ValidateParams(dataset, geometry, params);
       !status.ok()) {
     return status;
@@ -484,7 +479,7 @@ Result<SignatureIndexing> SignatureIndexing::Restore(
       SliceSignatures(num_records, bits,
                       [&](std::size_t r) { return signatures[r]; });
   return SignatureIndexing(std::move(dataset), generator, std::move(channel),
-                           std::move(slices));
+                           std::move(slices), std::move(arena));
 }
 
 }  // namespace airindex

@@ -96,9 +96,12 @@ class SignatureIndexing : public BroadcastScheme {
   /// signature file is recovered from the channel's signature buckets
   /// (each carries its record's full signature), so no rehashing runs.
   /// Rejects the same parameters Build rejects.
+  /// `arena` is the program `channel` was inflated from; the scheme
+  /// walks it and keeps it alive.
   static Result<SignatureIndexing> Restore(
       std::shared_ptr<const Dataset> dataset, const BucketGeometry& geometry,
-      SignatureParams params, Channel channel);
+      SignatureParams params, Channel channel,
+      std::shared_ptr<const ProgramArena> arena);
 
   const Channel& channel() const override { return channel_; }
   const char* name() const override { return "signature indexing"; }
@@ -125,21 +128,11 @@ class SignatureIndexing : public BroadcastScheme {
 
   const SignatureGenerator& generator() const { return generator_; }
 
-  /// The arena walk reads only bucket sizes from the arena; both views
-  /// sift the same in-memory signature slices.
-  void AttachArena(std::shared_ptr<const ProgramArena> arena) override {
-    arena_walk_.Attach(std::move(arena), channel_);
-  }
-
  private:
   SignatureIndexing(std::shared_ptr<const Dataset> dataset,
                     SignatureGenerator generator, Channel channel,
-                    std::vector<std::uint64_t> slices);
-
-  /// Protocol walk over either channel view (defined in signature.cc).
-  template <typename View>
-  AccessResult Walk(const View& view, std::string_view key,
-                    Bytes tune_in) const;
+                    std::vector<std::uint64_t> slices,
+                    std::shared_ptr<const ProgramArena> arena = nullptr);
 
   /// Offsets into slices_ of the rows of the query signature's set bits.
   std::vector<std::size_t> QueryRows(std::string_view key) const;
@@ -170,7 +163,7 @@ class SignatureIndexing : public BroadcastScheme {
   std::vector<std::uint64_t> slices_;
   /// Words per slice row: ⌈N/64⌉.
   std::size_t blocks_;
-  ArenaWalkSupport arena_walk_;
+  ArenaWalk walk_;
 };
 
 }  // namespace airindex

@@ -14,7 +14,6 @@
 #include "broadcast/arena.h"
 #include "broadcast/channel.h"
 #include "des/random.h"
-#include "schemes/access_path.h"
 #include "schemes/scheme.h"
 #include "schemes/signature.h"
 
@@ -122,8 +121,8 @@ void ExpectSameAccess(const AccessResult& fast, const AccessResult& reference,
   ASSERT_EQ(fast.probes, reference.probes) << context;
 }
 
-// Access equals the bucket-by-bucket reference on the pointer view, the
-// arena view, and a scheme restored from its flattened arena.
+// Access equals the bucket-by-bucket reference on the built scheme and on
+// a scheme restored from its flattened arena.
 TEST_P(SignatureEdgeTest, FastPathEqualsReferenceEverywhere) {
   const auto [n, signature_bytes] = GetParam();
   const auto dataset = MakeDataset(n);
@@ -167,13 +166,8 @@ TEST_P(SignatureEdgeTest, FastPathEqualsReferenceEverywhere) {
                       rng.NextBounded(static_cast<std::uint64_t>(n + 1))));
     const std::string context = key + " @" + std::to_string(tune_in);
     const AccessResult reference = scheme.AccessReference(key, tune_in);
-    {
-      const ScopedAccessPath path(AccessPath::kPointer);
-      ExpectSameAccess(scheme.Access(key, tune_in), reference,
-                       "pointer " + context);
-    }
     ExpectSameAccess(scheme.Access(key, tune_in), reference,
-                     "arena " + context);
+                     "built " + context);
     ExpectSameAccess(restored.value()->Access(key, tune_in), reference,
                      "restored " + context);
   }
@@ -275,11 +269,14 @@ TEST(Signature, RejectsBadParams) {
   const auto dataset = MakeDataset(10);
   const Channel channel =
       SignatureIndexing::Build(dataset, SmallGeometry()).value().channel();
+  const auto arena = std::make_shared<const ProgramArena>(
+      ProgramArena::Flatten({&channel}, 0, -1, 0, 0, {}));
   const auto rejects = [&](const BucketGeometry& geometry,
                            const SignatureParams& params) {
     EXPECT_FALSE(SignatureIndexing::Build(dataset, geometry, params).ok());
     EXPECT_FALSE(
-        SignatureIndexing::Restore(dataset, geometry, params, channel).ok());
+        SignatureIndexing::Restore(dataset, geometry, params, channel, arena)
+            .ok());
   };
   BucketGeometry geometry = SmallGeometry();
   geometry.signature_bytes = 0;
@@ -294,7 +291,8 @@ TEST(Signature, RejectsBadParams) {
   params.bits_per_attribute = 64;
   EXPECT_TRUE(SignatureIndexing::Build(dataset, geometry, params).ok());
   EXPECT_TRUE(
-      SignatureIndexing::Restore(dataset, geometry, params, channel).ok());
+      SignatureIndexing::Restore(dataset, geometry, params, channel, arena)
+          .ok());
 }
 
 }  // namespace
