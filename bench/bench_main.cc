@@ -1,5 +1,6 @@
 #include "bench/bench_main.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -30,7 +31,8 @@ double ParseDoubleArg(int argc, char** argv, int* i, const char* flag) {
   }
   char* end = nullptr;
   const double value = std::strtod(argv[++*i], &end);
-  if (end == argv[*i] || *end != '\0' || value < 0.0) {
+  // strtod also reads "inf" and "nan", which no flag accepts.
+  if (end == argv[*i] || *end != '\0' || !std::isfinite(value) || value < 0.0) {
     std::fprintf(stderr, "invalid value for %s: %s\n", flag, argv[*i]);
     std::exit(2);
   }

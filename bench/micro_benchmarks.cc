@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the building blocks: channel
 // construction per scheme, client access walks, event-queue throughput,
-// and the RNG. These measure *implementation* speed (wall clock), unlike
-// the figure benches, which measure *simulated* bytes.
+// the RNG and the Zipf sampler. These measure *implementation* speed
+// (wall clock), unlike the figure benches, which measure *simulated*
+// bytes.
 //
 // Accepts google-benchmark's own flags plus --json PATH, which emits the
 // shared bench-report schema with one walltime point per benchmark.
@@ -20,6 +21,7 @@
 #include "data/dataset.h"
 #include "des/event_queue.h"
 #include "des/random.h"
+#include "des/zipf.h"
 #include "dynamic/dynamic_program.h"
 #include "schemes/scheme.h"
 
@@ -164,7 +166,7 @@ void BM_FleetShard(benchmark::State& state) {
 /// second. Hold against BM_FullRebuild: the rebuild's per-epoch cost is
 /// flat in the update rate while patching is linear, so the break-even
 /// update rate is where the two items/s figures cross.
-void BM_IncrementalPatch(benchmark::State& state) {
+void BM_IncrementalPatch(benchmark::State& state, double update_zipf) {
   const int n = static_cast<int>(state.range(0));
   const auto dataset = BenchDataset(n);
   const BucketGeometry geometry;
@@ -176,6 +178,7 @@ void BM_IncrementalPatch(benchmark::State& state) {
   params.universe = dataset;
   params.geometry = geometry;
   params.update_rate = 4.0;
+  params.update_zipf = update_zipf;
   params.compact_every = 0;
   params.seed = 7;
   params.epoch_bytes = epoch;
@@ -226,6 +229,17 @@ void BM_FullRebuild(benchmark::State& state) {
     }
   }
   state.SetItemsProcessed(runtime.counters().mutations);
+}
+
+/// One Zipf rank draw (des/zipf.h) — the sampler behind every skewed
+/// request key, fleet draw and mutation target.
+void BM_ZipfSample(benchmark::State& state, double theta) {
+  const ZipfDistribution zipf(static_cast<int>(state.range(0)), theta);
+  Rng rng(9);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(zipf.Sample(&rng));
+  }
+  state.SetItemsProcessed(state.iterations());
 }
 
 void BM_RngUint64(benchmark::State& state) {
@@ -280,10 +294,14 @@ BENCHMARK_CAPTURE(BM_RunReplication, signature, SchemeKind::kSignature)
 
 BENCHMARK(BM_FleetShard)->Arg(1000)->Arg(10000);
 
-BENCHMARK(BM_IncrementalPatch)->Arg(34000);
+BENCHMARK_CAPTURE(BM_IncrementalPatch, uniform, 0.0)->Arg(34000);
+// dynamic_churn's mutation stream: Zipf(0.7) targets over 2000 records.
+BENCHMARK_CAPTURE(BM_IncrementalPatch, zipf, 0.7)->Arg(2000);
 BENCHMARK(BM_FullRebuild)->Arg(34000);
 
 BENCHMARK(BM_EventQueue)->Arg(1000)->Arg(100000);
+BENCHMARK_CAPTURE(BM_ZipfSample, theta_0_7, 0.7)->Arg(2000);
+BENCHMARK_CAPTURE(BM_ZipfSample, theta_0_9, 0.9)->Arg(34000);
 BENCHMARK(BM_RngUint64);
 BENCHMARK(BM_RngExponential);
 

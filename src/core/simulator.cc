@@ -347,30 +347,34 @@ Status ValidateTestbedConfig(const TestbedConfig& config) {
   if (config.dataset != nullptr && config.dataset->size() == 0) {
     return Status::InvalidArgument("external dataset is empty");
   }
-  if (config.data_availability < 0.0 || config.data_availability > 1.0) {
+  // Every range check below is written so that NaN fails it, and every
+  // unbounded one also demands a finite value: a non-finite number never
+  // reaches the generators (floor(inf) cast to an integer is UB).
+  if (!(config.data_availability >= 0.0 && config.data_availability <= 1.0)) {
     return Status::InvalidArgument("data_availability must be in [0,1]");
   }
-  if (config.mean_request_interval_bytes <= 0.0) {
-    return Status::InvalidArgument("mean request interval must be positive");
+  if (!(config.mean_request_interval_bytes > 0.0 &&
+        std::isfinite(config.mean_request_interval_bytes))) {
+    return Status::InvalidArgument("mean request interval must be finite, positive");
   }
   if (config.deadline.access_deadline_bytes < 0) {
     return Status::InvalidArgument("deadline must be non-negative");
   }
-  if (config.zipf_theta < 0.0) {
-    return Status::InvalidArgument("zipf_theta must be non-negative");
+  if (!(config.zipf_theta >= 0.0 && std::isfinite(config.zipf_theta))) {
+    return Status::InvalidArgument("zipf_theta must be finite, non-negative");
   }
-  if (config.error_model.bucket_error_rate < 0.0 ||
-      config.error_model.bucket_error_rate >= 1.0) {
+  if (!(config.error_model.bucket_error_rate >= 0.0 &&
+        config.error_model.bucket_error_rate < 1.0)) {
     return Status::InvalidArgument("bucket error rate must be in [0,1)");
   }
   if (config.requests_per_round <= 0) {
     return Status::InvalidArgument("requests_per_round must be positive");
   }
-  if (config.confidence_level <= 0.0 || config.confidence_level >= 1.0) {
+  if (!(config.confidence_level > 0.0 && config.confidence_level < 1.0)) {
     return Status::InvalidArgument("confidence level must be in (0,1)");
   }
-  if (config.confidence_accuracy <= 0.0) {
-    return Status::InvalidArgument("confidence accuracy must be positive");
+  if (!(config.confidence_accuracy > 0.0 && std::isfinite(config.confidence_accuracy))) {
+    return Status::InvalidArgument("confidence accuracy must be finite, positive");
   }
   if (config.min_rounds < 1 || config.max_rounds < config.min_rounds) {
     return Status::InvalidArgument("bad round bounds");
@@ -388,15 +392,15 @@ Status ValidateTestbedConfig(const TestbedConfig& config) {
   if (config.client.session_length < 1) {
     return Status::InvalidArgument("session length must be positive");
   }
-  if (config.client.repeat_probability < 0.0 ||
-      config.client.repeat_probability > 1.0) {
+  if (!(config.client.repeat_probability >= 0.0 &&
+        config.client.repeat_probability <= 1.0)) {
     return Status::InvalidArgument("repeat probability must be in [0,1]");
   }
-  if (config.client.update_rate < 0.0) {
-    return Status::InvalidArgument("update rate must be non-negative");
+  if (!(config.client.update_rate >= 0.0 && std::isfinite(config.client.update_rate))) {
+    return Status::InvalidArgument("update rate must be finite, non-negative");
   }
-  if (config.client.update_zipf < 0.0) {
-    return Status::InvalidArgument("update zipf must be non-negative");
+  if (!(config.client.update_zipf >= 0.0 && std::isfinite(config.client.update_zipf))) {
+    return Status::InvalidArgument("update zipf must be finite, non-negative");
   }
   if (config.client.compact_every < 0) {
     return Status::InvalidArgument("compact period must be non-negative");
@@ -426,6 +430,10 @@ Status ValidateTestbedConfig(const TestbedConfig& config) {
   }
   if (const ScheduleParams& schedule = config.params.schedule;
       schedule.active()) {
+    // Negative theta means "inherit zipf_theta"; NaN or inf is refused.
+    if (!std::isfinite(schedule.theta)) {
+      return Status::InvalidArgument("schedule theta must be finite");
+    }
     if (schedule.num_disks < 1 || schedule.num_disks > 64) {
       return Status::InvalidArgument("schedule num_disks must be in [1, 64]");
     }

@@ -1,6 +1,7 @@
 #include "des/zipf.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 namespace airindex {
@@ -15,13 +16,26 @@ ZipfDistribution::ZipfDistribution(int n, double theta)
   }
   for (double& c : cumulative_) c /= total;
   cumulative_.back() = 1.0;  // guard against rounding
+
+  // One merged pass: j/M < 1.0 == cumulative_.back() bounds the scan.
+  guide_.resize(std::bit_ceil(static_cast<std::size_t>(n_)));
+  const double size = static_cast<double>(guide_.size());
+  int k = 0;
+  for (std::size_t j = 0; j < guide_.size(); ++j) {
+    const double threshold = static_cast<double>(j) / size;
+    while (cumulative_[static_cast<std::size_t>(k)] < threshold) ++k;
+    guide_[j] = k;
+  }
 }
 
-int ZipfDistribution::Sample(Rng* rng) const {
-  const double u = rng->NextDouble();
-  const auto it =
-      std::lower_bound(cumulative_.begin(), cumulative_.end(), u);
-  return static_cast<int>(it - cumulative_.begin());
+int ZipfDistribution::Rank(double u) const {
+  // u * M is exact (M a power of two), so j/M <= u: the guide entry
+  // never overshoots std::lower_bound's answer, and the scan stops at
+  // it because cumulative_.back() == 1.0 > u.
+  const auto j = static_cast<std::size_t>(u * static_cast<double>(guide_.size()));
+  auto i = static_cast<std::size_t>(guide_[j]);
+  while (cumulative_[i] < u) ++i;
+  return static_cast<int>(i);
 }
 
 double ZipfDistribution::Probability(int k) const {

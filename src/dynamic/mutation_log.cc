@@ -13,7 +13,7 @@ MutationLog::MutationLog(int universe_size, double rate, double zipf_theta,
       versions_(static_cast<std::size_t>(universe_size), 0),
       live_count_(universe_size) {
   if (zipf_theta > 0.0 && universe_size > 0) {
-    zipf_.emplace_back(universe_size, zipf_theta);
+    zipf_.emplace(universe_size, zipf_theta);
   }
 }
 
@@ -24,9 +24,7 @@ const std::vector<MutationOp>& MutationLog::NextEpoch() {
   const auto draws = static_cast<std::int64_t>(std::floor(credit_));
   credit_ -= static_cast<double>(draws);
   for (std::int64_t d = 0; d < draws && n > 0; ++d) {
-    const int r = zipf_.empty()
-                      ? static_cast<int>(rng_.NextBounded(n))
-                      : zipf_.front().Sample(&rng_);
+    const int r = zipf_ ? zipf_->Sample(&rng_) : static_cast<int>(rng_.NextBounded(n));
     MutationOp op;
     op.record_index = r;
     const auto index = static_cast<std::size_t>(r);

@@ -3,6 +3,7 @@
 #define AIRINDEX_DYNAMIC_MUTATION_LOG_H_
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "des/random.h"
@@ -71,7 +72,7 @@ class MutationLog {
  private:
   double rate_;
   Rng rng_;
-  std::vector<ZipfDistribution> zipf_;  // empty = uniform targeting
+  std::optional<ZipfDistribution> zipf_;  // empty = uniform targeting
   std::vector<std::uint8_t> live_;
   std::vector<std::int64_t> versions_;
   int live_count_ = 0;

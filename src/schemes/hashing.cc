@@ -34,8 +34,8 @@ Result<SimpleHashing> SimpleHashing::Build(
   if (dataset == nullptr || dataset->size() == 0) {
     return Status::InvalidArgument("hashing needs a non-empty dataset");
   }
-  if (allocation_factor <= 0.0) {
-    return Status::InvalidArgument("allocation factor must be positive");
+  if (!(allocation_factor > 0.0 && std::isfinite(allocation_factor))) {
+    return Status::InvalidArgument("allocation factor must be finite, positive");
   }
   const int num_records = dataset->size();
   const int allocated = std::max(

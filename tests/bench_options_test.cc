@@ -1,5 +1,6 @@
 // Tests for the benches' shared command line (bench/bench_main.h):
-// unknown flags are refused, and every invocation CI makes still parses.
+// unknown flags and non-finite numbers are refused, and every invocation
+// CI makes still parses.
 
 #include <string>
 #include <vector>
@@ -32,6 +33,16 @@ TEST(BenchOptionsDeathTest, RejectsMisspeltFlag) {
 TEST(BenchOptionsDeathTest, RejectsStrayArgument) {
   EXPECT_EXIT(Parse({"--quick", "fig4"}), ::testing::ExitedWithCode(2),
               "unknown flag 'fig4'");
+}
+
+TEST(BenchOptionsDeathTest, RejectsNonFiniteNumbers) {
+  // strtod parses both; an infinite update rate once validated and ran a
+  // dataset with no mutations at all.
+  EXPECT_EXIT(Parse({"--update-rate", "inf"}), ::testing::ExitedWithCode(2),
+              "invalid value for --update-rate: inf");
+  // A NaN skew used to be dropped silently, running the uniform workload.
+  EXPECT_EXIT(Parse({"--zipf", "nan"}), ::testing::ExitedWithCode(2),
+              "invalid value for --zipf: nan");
 }
 
 // The bench invocations of .github/workflows/ci.yml: smoke-bench cold

@@ -24,7 +24,8 @@
 //      re-snapshots through an injected ProgramCache builder (no stale
 //      program-cache hits);
 //  D9. the validator rejects configurations the dynamic layer cannot
-//      compose with (multichannel, scheduler, lossy channel).
+//      compose with (multichannel, scheduler, lossy channel), and NaN
+//      or infinite numbers in any field.
 
 #include <cmath>
 #include <memory>
@@ -473,6 +474,37 @@ TEST(DynamicSimTest, ValidatorRejectsIncompatibleConfigs) {
   TestbedConfig deadline = config;
   deadline.deadline.access_deadline_bytes = 100000;
   EXPECT_TRUE(ValidateTestbedConfig(deadline).ok());
+}
+
+// Every double the validator range-checks refuses NaN and infinity: an
+// infinite update rate used to validate and reach floor(inf) -> int64.
+TEST(DynamicSimTest, ValidatorRejectsNonFiniteNumbers) {
+  TestbedConfig base;
+  base.scheme = SchemeKind::kOneM;
+  base.num_records = 60;
+  base.params.schedule.num_disks = 3;  // read only when a scheduler is on
+  ASSERT_TRUE(ValidateTestbedConfig(base).ok());
+  const auto rejects = [&base](auto set) {
+    TestbedConfig config = base;
+    set(config);
+    return !ValidateTestbedConfig(config).ok();
+  };
+  for (const double v : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    SCOPED_TRACE("value " + std::to_string(v));
+    EXPECT_TRUE(rejects([=](TestbedConfig& c) { c.data_availability = v; }));
+    EXPECT_TRUE(rejects([=](TestbedConfig& c) { c.mean_request_interval_bytes = v; }));
+    EXPECT_TRUE(rejects([=](TestbedConfig& c) { c.zipf_theta = v; }));
+    EXPECT_TRUE(rejects([=](TestbedConfig& c) { c.confidence_level = v; }));
+    EXPECT_TRUE(rejects([=](TestbedConfig& c) { c.confidence_accuracy = v; }));
+    EXPECT_TRUE(rejects([=](TestbedConfig& c) { c.error_model.bucket_error_rate = v; }));
+    EXPECT_TRUE(rejects([=](TestbedConfig& c) { c.client.repeat_probability = v; }));
+    EXPECT_TRUE(rejects([=](TestbedConfig& c) { c.client.update_rate = v; }));
+    EXPECT_TRUE(rejects([=](TestbedConfig& c) { c.client.update_zipf = v; }));
+    EXPECT_TRUE(rejects([=](TestbedConfig& c) {
+      c.params.schedule.scheduler = SchedulerKind::kSquareRoot;
+      c.params.schedule.theta = v;
+    }));
+  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Unit tests for simple hashing: layout invariants, shift values,
 // collision chains, and the access protocol's probe behaviour.
 
+#include <cmath>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -181,6 +182,8 @@ TEST(Hashing, AllocationFactorControlsSlots) {
 TEST(Hashing, RejectsBadFactor) {
   const auto dataset = MakeDataset(10);
   EXPECT_FALSE(SimpleHashing::Build(dataset, SmallGeometry(), 0.0).ok());
+  EXPECT_FALSE(SimpleHashing::Build(dataset, SmallGeometry(), std::nan("")).ok());
+  EXPECT_FALSE(SimpleHashing::Build(dataset, SmallGeometry(), HUGE_VAL).ok());
   EXPECT_FALSE(SimpleHashing::Build(dataset, SmallGeometry(), -1.0).ok());
 }
 

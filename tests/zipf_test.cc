@@ -1,8 +1,11 @@
 // Unit tests for the Zipf request-popularity sampler: shape and ratio
-// checks, a chi-square goodness-of-fit gate across skews, and the
-// shared-table identity that lets the replication engine hoist one
+// checks, exactness of the guide-table lookup against a binary search,
+// a chi-square goodness-of-fit gate across skews, and the shared-table
+// identity that lets the replication engine hoist one
 // ZipfDistribution across a sweep cell (see Experiment::ZipfFor).
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -64,6 +67,55 @@ TEST(Zipf, SamplingMatchesProbabilities) {
     EXPECT_NEAR(counts[static_cast<std::size_t>(k)], expected,
                 5.0 * std::sqrt(expected) + 5.0)
         << "rank " << k;
+  }
+}
+
+// The cumulative table exactly as ZipfDistribution's constructor builds
+// it; std::lower_bound over it is the reference inverse CDF.
+std::vector<double> ReferenceCumulative(int n, double theta) {
+  std::vector<double> cumulative(static_cast<std::size_t>(n));
+  double total = 0.0;
+  for (int k = 0; k < n; ++k) {
+    total += 1.0 / std::pow(static_cast<double>(k + 1), theta);
+    cumulative[static_cast<std::size_t>(k)] = total;
+  }
+  for (double& c : cumulative) c /= total;
+  cumulative.back() = 1.0;
+  return cumulative;
+}
+
+TEST(Zipf, RankEqualsLowerBound) {
+  for (const int n : {1, 2, 3, 1023, 1024, 1025, 2000, 4000, 34000}) {
+    for (const double theta : {0.0, 0.7, 0.9, 1.2}) {
+      SCOPED_TRACE("n " + std::to_string(n) + ", theta " + std::to_string(theta));
+      const ZipfDistribution zipf(n, theta);
+      const std::vector<double> cumulative = ReferenceCumulative(n, theta);
+      const auto oracle = [&cumulative](double u) {
+        const auto it = std::lower_bound(cumulative.begin(), cumulative.end(), u);
+        return static_cast<int>(it - cumulative.begin());
+      };
+      std::vector<double> probes;
+      // Every guide boundary j/M ...
+      const std::size_t guide = std::bit_ceil(static_cast<std::size_t>(n));
+      for (std::size_t j = 0; j < guide; ++j) {
+        probes.push_back(static_cast<double>(j) / static_cast<double>(guide));
+      }
+      // ... every cumulative value and its neighbours below 1 ...
+      for (const double c : cumulative) {
+        for (const double u : {std::nextafter(c, 0.0), c, std::nextafter(c, 1.0)}) {
+          if (u >= 0.0 && u < 1.0) probes.push_back(u);
+        }
+      }
+      for (const double u : probes) {
+        ASSERT_EQ(zipf.Rank(u), oracle(u)) << "u " << u;
+      }
+      // ... and seeded draws, through Sample's own NextDouble.
+      Rng rng(20261017);
+      Rng mirror(20261017);
+      for (int i = 0; i < 100000; ++i) {
+        ASSERT_EQ(zipf.Sample(&rng), oracle(mirror.NextDouble())) << "draw " << i;
+      }
+    }
   }
 }
 
