@@ -1,5 +1,7 @@
 #include "bench/bench_main.h"
 
+#include <cerrno>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -16,8 +18,11 @@ int ParseIntArg(int argc, char** argv, int* i, const char* flag) {
     std::exit(2);
   }
   char* end = nullptr;
+  errno = 0;
   const long value = std::strtol(argv[++*i], &end, 10);
-  if (end == argv[*i] || *end != '\0' || value < 0) {
+  // A value past INT_MAX would wrap in the int it is stored in.
+  if (end == argv[*i] || *end != '\0' || errno == ERANGE || value < 0 ||
+      value > INT_MAX) {
     std::fprintf(stderr, "invalid value for %s: %s\n", flag, argv[*i]);
     std::exit(2);
   }
@@ -56,6 +61,10 @@ BenchOptions ParseBenchOptions(int argc, char** argv) {
       options.csv = true;
     } else if (std::strcmp(argv[i], "--jobs") == 0) {
       options.jobs = ParseIntArg(argc, argv, &i, "--jobs");
+      if (options.jobs > kMaxBenchJobs) {
+        std::fprintf(stderr, "--jobs must be <= %d\n", kMaxBenchJobs);
+        std::exit(2);
+      }
     } else if (std::strcmp(argv[i], "--records") == 0) {
       options.records = ParseIntArg(argc, argv, &i, "--records");
     } else if (std::strcmp(argv[i], "--json") == 0) {

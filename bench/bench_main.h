@@ -4,8 +4,9 @@
 //   --quick        fewer grid points / rounds (CI-friendly)
 //   --csv          emit CSV tables instead of aligned text
 //   --jobs N       worker threads for the replication engine (0 = all
-//                  cores; 1 = serial). Statistics are bit-identical for
-//                  every N; only the timing summary changes.
+//                  cores; 1 = serial; at most kMaxBenchJobs). Statistics
+//                  are bit-identical for every N; only the timing summary
+//                  changes.
 //   --records N    override the bench's record-count grid with the single
 //                  count N (benches that sweep records honour it; others
 //                  ignore it)
@@ -82,6 +83,10 @@
 #include "core/simulator.h"
 
 namespace airindex {
+
+/// Largest --jobs value the parser accepts: each job is one OS thread of
+/// the replication engine's pool.
+inline constexpr int kMaxBenchJobs = 256;
 
 /// Options common to every bench driver.
 struct BenchOptions {

@@ -33,6 +33,7 @@
 #include <string>
 #include <utility>
 
+#include "core/experiment.h"
 #include "core/report.h"
 #include "core/simulator.h"
 #include "core/testbed_config.h"

@@ -8,6 +8,7 @@
 #include <iostream>
 #include <memory>
 
+#include "core/experiment.h"
 #include "core/simulator.h"
 #include "core/testbed_config.h"
 #include "data/dataset.h"

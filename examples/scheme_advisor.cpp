@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "core/experiment.h"
 #include "core/report.h"
 #include "core/simulator.h"
 #include "core/testbed_config.h"

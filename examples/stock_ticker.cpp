@@ -13,6 +13,7 @@
 
 #include <iostream>
 
+#include "core/experiment.h"
 #include "core/report.h"
 #include "core/simulator.h"
 #include "core/testbed_config.h"

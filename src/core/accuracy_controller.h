@@ -40,6 +40,15 @@ class AccuracyController {
     return access_.Check().satisfied && tuning_.Check().satisfied;
   }
 
+  /// The Simulator's stopping rule: stop once at least `min_rounds`
+  /// rounds satisfy the accuracy target, or at `max_rounds` regardless.
+  /// The replication engine and bench_merge's shard replay both stop
+  /// through this, which keeps a merged sharded run bit-identical to the
+  /// unsharded one.
+  bool ShouldStop(int min_rounds, int max_rounds) const {
+    return (rounds() >= min_rounds && Satisfied()) || rounds() >= max_rounds;
+  }
+
   /// Current checks, for reporting.
   ConfidenceCheck access_check() const { return access_.Check(); }
   ConfidenceCheck tuning_check() const { return tuning_.Check(); }

@@ -31,7 +31,69 @@ struct ReorderBuffer {
   int peak = 0;
 };
 
+/// Folds one replication into a cell's merged result and its stopping
+/// rule — the only ReplicationResult → SimulationResult merge.
+void MergeReplication(const ReplicationResult& replication,
+                      SimulationResult* merged,
+                      AccuracyController* accuracy) {
+  merged->access.Merge(replication.access);
+  merged->tuning.Merge(replication.tuning);
+  merged->probes.Merge(replication.probes);
+  merged->access_histogram.Merge(replication.access_histogram);
+  merged->tuning_histogram.Merge(replication.tuning_histogram);
+  merged->found += replication.found;
+  merged->abandoned += replication.abandoned;
+  merged->false_drops += replication.false_drops;
+  merged->anomalies += replication.anomalies;
+  merged->outcome_mismatches += replication.outcome_mismatches;
+  merged->metrics.Merge(replication.metrics);
+  accuracy->AddRound(replication.round_access_mean,
+                     replication.round_tuning_mean);
+}
+
+/// The raw merge state bench_merge replays for one shard-owned
+/// replication.
+ReplicationPayload PayloadOf(int id, const ReplicationResult& replication) {
+  ReplicationPayload payload;
+  payload.id = id;
+  payload.access_count = replication.access.count();
+  payload.access_mean = replication.access.mean();
+  payload.access_m2 = replication.access.m2();
+  payload.tuning_count = replication.tuning.count();
+  payload.tuning_mean = replication.tuning.mean();
+  payload.tuning_m2 = replication.tuning.m2();
+  payload.round_access_mean = replication.round_access_mean;
+  payload.round_tuning_mean = replication.round_tuning_mean;
+  payload.metrics = replication.metrics;
+  return payload;
+}
+
 }  // namespace
+
+Result<TestbedProgram> BuildTestbedProgram(
+    const TestbedConfig& config,
+    std::unique_ptr<ProgramCache>* program_cache) {
+  Result<std::shared_ptr<const Dataset>> dataset = BuildTestbedDataset(config);
+  if (!dataset.ok()) return dataset.status();
+  ProgramCache* cache = nullptr;
+  if (!config.program_cache_dir.empty()) {
+    if (*program_cache == nullptr ||
+        (*program_cache)->dir() != config.program_cache_dir) {
+      *program_cache = std::make_unique<ProgramCache>(config.program_cache_dir);
+    }
+    cache = program_cache->get();
+  }
+  Result<BroadcastServer> server =
+      BroadcastServer::Create(config.scheme, dataset.value(), config.geometry,
+                              ResolvedSchemeParams(config),
+                              config.multichannel, cache);
+  if (!server.ok()) return server.status();
+  return TestbedProgram{std::move(dataset).value(), std::move(server).value()};
+}
+
+Result<SimulationResult> RunTestbed(const TestbedConfig& config) {
+  return ParallelExperiment({.jobs = 1}).Run(config);
+}
 
 ParallelExperiment::ParallelExperiment(ParallelOptions options)
     : pool_(options.jobs),
@@ -53,68 +115,59 @@ std::shared_ptr<const ZipfDistribution> ParallelExperiment::ZipfFor(
 }
 
 Result<SimulationResult> ParallelExperiment::Run(const TestbedConfig& config) {
+  return RunCell(config, 0, config.max_rounds, nullptr);
+}
+
+Result<SimulationResult> ParallelExperiment::RunCell(
+    const TestbedConfig& config, int lo, int hi,
+    std::vector<ReplicationPayload>* payloads) {
   const auto start = std::chrono::steady_clock::now();
   const double busy_before = pool_.busy_seconds();
   if (Status s = ValidateTestbedConfig(config); !s.ok()) return s;
 
   // Build the dataset and broadcast channel once; replications share them
   // read-only (the access protocols never mutate the channel).
-  Result<std::shared_ptr<const Dataset>> dataset_result =
-      BuildTestbedDataset(config);
-  if (!dataset_result.ok()) return dataset_result.status();
-  const std::shared_ptr<const Dataset> dataset =
-      std::move(dataset_result).value();
-  ProgramCache* cache = nullptr;
-  if (!config.program_cache_dir.empty()) {
-    if (program_cache_ == nullptr ||
-        program_cache_->dir() != config.program_cache_dir) {
-      program_cache_ = std::make_unique<ProgramCache>(config.program_cache_dir);
-    }
-    cache = program_cache_.get();
-  }
-  Result<BroadcastServer> server_result =
-      BroadcastServer::Create(config.scheme, dataset, config.geometry,
-                              ResolvedSchemeParams(config),
-                              config.multichannel, cache);
-  if (!server_result.ok()) return server_result.status();
-  const BroadcastServer server = std::move(server_result).value();
+  Result<TestbedProgram> program = BuildTestbedProgram(config, &program_cache_);
+  if (!program.ok()) return program.status();
+  const Dataset& dataset = *program.value().dataset;
+  const BroadcastServer& server = program.value().server;
 
   // Hoist the Zipf table out of the per-replication path; alive until
   // pool_.Wait() below, so the raw pointer workers capture stays valid.
   std::shared_ptr<const ZipfDistribution> zipf_table;
   if (config.zipf_theta > 0.0) {
-    zipf_table = ZipfFor(dataset->size(), config.zipf_theta);
+    zipf_table = ZipfFor(dataset.size(), config.zipf_theta);
   }
   const ZipfDistribution* zipf = zipf_table.get();
 
+  // Streaming ordered merge: keep `jobs + lookahead` replications in
+  // flight, merge strictly in replication-id order as results arrive, and
+  // (unsharded) stop submitting the moment the rule fires on the merged
+  // prefix. Replication `id` is a pure function of (config, id), and the
+  // merged stream is the id-ordered prefix ending at the stopping
+  // replication — so the statistics are bit-identical for every
+  // jobs/lookahead value. A shard runs its whole slice instead: the
+  // stopping rule belongs to the merged stream only bench_merge sees,
+  // and absolute ids draw the streams a single process would.
   AccuracyController accuracy(config.confidence_level,
                               config.confidence_accuracy);
   SimulationResult merged;
-  int rounds = 0;
-  bool stop = false;
-
-  // Streaming ordered merge: keep `jobs + lookahead` replications in
-  // flight, merge strictly in replication-id order as results arrive, and
-  // stop submitting the moment the rule fires on the merged prefix.
-  // Replication `id` is a pure function of (config, id), and the merged
-  // stream is the id-ordered prefix ending at the stopping replication —
-  // so the statistics are bit-identical for every jobs/lookahead value.
   ReorderBuffer buffer;
   const int window = pool_.size() + lookahead_;
-  int next_submit = 0;
-  int next_merge = 0;
+  int next_submit = lo;
+  int next_merge = lo;
+  bool stop = false;
 
-  while (!stop) {
-    // Refill the in-flight window (bounded by max_rounds: replications
-    // past it could never be merged).
-    while (next_submit < config.max_rounds &&
-           next_submit < next_merge + window) {
+  while (!stop && next_merge < hi) {
+    // Refill the in-flight window (bounded by hi: replications past it
+    // could never be merged).
+    while (next_submit < hi && next_submit < next_merge + window) {
       const int id = next_submit++;
       const std::uint64_t seed =
           ReplicationSeed(config.seed, static_cast<std::uint64_t>(id));
       pool_.Submit([&server, &dataset, &config, &buffer, id, seed, zipf]() {
         ReplicationResult result =
-            RunReplication(server, *dataset, config, seed, zipf);
+            RunReplication(server, dataset, config, seed, zipf);
         std::lock_guard<std::mutex> lock(buffer.mu);
         buffer.completed.emplace(id, std::move(result));
         buffer.peak =
@@ -125,133 +178,6 @@ Result<SimulationResult> ParallelExperiment::Run(const TestbedConfig& config) {
 
     // Wait for the next id in merge order, then merge the contiguous
     // prefix that has arrived.
-    std::vector<ReplicationResult> mergeable;
-    {
-      std::unique_lock<std::mutex> lock(buffer.mu);
-      buffer.ready.wait(lock, [&]() {
-        return buffer.completed.count(next_merge) != 0;
-      });
-      while (!buffer.completed.empty() &&
-             buffer.completed.begin()->first == next_merge) {
-        mergeable.push_back(std::move(buffer.completed.begin()->second));
-        buffer.completed.erase(buffer.completed.begin());
-        ++next_merge;
-      }
-    }
-
-    for (ReplicationResult& replication : mergeable) {
-      merged.access.Merge(replication.access);
-      merged.tuning.Merge(replication.tuning);
-      merged.probes.Merge(replication.probes);
-      merged.access_histogram.Merge(replication.access_histogram);
-      merged.tuning_histogram.Merge(replication.tuning_histogram);
-      merged.found += replication.found;
-      merged.abandoned += replication.abandoned;
-      merged.false_drops += replication.false_drops;
-      merged.anomalies += replication.anomalies;
-      merged.outcome_mismatches += replication.outcome_mismatches;
-      merged.metrics.Merge(replication.metrics);
-      accuracy.AddRound(replication.round_access_mean,
-                        replication.round_tuning_mean);
-      ++rounds;
-      if ((rounds >= config.min_rounds && accuracy.Satisfied()) ||
-          rounds >= config.max_rounds) {
-        // Cancellation point: later replications — in flight or already
-        // parked in the buffer — are speculative waste from here on.
-        stop = true;
-        break;
-      }
-    }
-  }
-
-  // Drain in-flight speculative replications; they only touch the
-  // reorder buffer, never the merged statistics.
-  pool_.Wait();
-  timing_.replications_run += next_submit;
-  timing_.replications_discarded += next_submit - rounds;
-  timing_.reorder_buffer_peak =
-      std::max(timing_.reorder_buffer_peak, buffer.peak);
-
-  merged.requests = merged.access.count();
-  merged.rounds = rounds;
-  merged.converged = accuracy.Satisfied();
-  merged.access_check = accuracy.access_check();
-  merged.tuning_check = accuracy.tuning_check();
-
-  FillChannelShape(server, &merged);
-
-  const double wall = SecondsSince(start);
-  timing_.replications_merged += rounds;
-  timing_.wall_seconds += wall;
-  timing_.busy_seconds = pool_.busy_seconds();
-  timing_.idle_seconds +=
-      std::max(0.0, wall * pool_.size() - (pool_.busy_seconds() -
-                                           busy_before));
-  return merged;
-}
-
-Result<SimulationResult> ParallelExperiment::RunShardCell(
-    const TestbedConfig& config, int lo, int hi,
-    std::vector<ReplicationPayload>* payloads) {
-  const auto start = std::chrono::steady_clock::now();
-  const double busy_before = pool_.busy_seconds();
-  if (Status s = ValidateTestbedConfig(config); !s.ok()) return s;
-
-  Result<std::shared_ptr<const Dataset>> dataset_result =
-      BuildTestbedDataset(config);
-  if (!dataset_result.ok()) return dataset_result.status();
-  const std::shared_ptr<const Dataset> dataset =
-      std::move(dataset_result).value();
-  ProgramCache* cache = nullptr;
-  if (!config.program_cache_dir.empty()) {
-    if (program_cache_ == nullptr ||
-        program_cache_->dir() != config.program_cache_dir) {
-      program_cache_ = std::make_unique<ProgramCache>(config.program_cache_dir);
-    }
-    cache = program_cache_.get();
-  }
-  Result<BroadcastServer> server_result =
-      BroadcastServer::Create(config.scheme, dataset, config.geometry,
-                              ResolvedSchemeParams(config),
-                              config.multichannel, cache);
-  if (!server_result.ok()) return server_result.status();
-  const BroadcastServer server = std::move(server_result).value();
-
-  std::shared_ptr<const ZipfDistribution> zipf_table;
-  if (config.zipf_theta > 0.0) {
-    zipf_table = ZipfFor(dataset->size(), config.zipf_theta);
-  }
-  const ZipfDistribution* zipf = zipf_table.get();
-
-  // The shard runs its whole slice [lo, hi): the adaptive stopping rule
-  // belongs to the merged id-ordered stream, which only bench_merge
-  // sees. Ids are absolute, so ReplicationSeed(config.seed, id) draws
-  // the same stream a single process would for the same id — the merged
-  // replay is then bit-identical by construction.
-  AccuracyController accuracy(config.confidence_level,
-                              config.confidence_accuracy);
-  SimulationResult merged;
-  ReorderBuffer buffer;
-  const int window = pool_.size() + lookahead_;
-  int next_submit = lo;
-  int next_merge = lo;
-
-  while (next_merge < hi) {
-    while (next_submit < hi && next_submit < next_merge + window) {
-      const int id = next_submit++;
-      const std::uint64_t seed =
-          ReplicationSeed(config.seed, static_cast<std::uint64_t>(id));
-      pool_.Submit([&server, &dataset, &config, &buffer, id, seed, zipf]() {
-        ReplicationResult result =
-            RunReplication(server, *dataset, config, seed, zipf);
-        std::lock_guard<std::mutex> lock(buffer.mu);
-        buffer.completed.emplace(id, std::move(result));
-        buffer.peak =
-            std::max(buffer.peak, static_cast<int>(buffer.completed.size()));
-        buffer.ready.notify_one();
-      });
-    }
-
     std::vector<std::pair<int, ReplicationResult>> mergeable;
     {
       std::unique_lock<std::mutex> lock(buffer.mu);
@@ -267,51 +193,37 @@ Result<SimulationResult> ParallelExperiment::RunShardCell(
       }
     }
 
-    for (auto& [id, replication] : mergeable) {
-      ReplicationPayload payload;
-      payload.id = id;
-      payload.access_count = replication.access.count();
-      payload.access_mean = replication.access.mean();
-      payload.access_m2 = replication.access.m2();
-      payload.tuning_count = replication.tuning.count();
-      payload.tuning_mean = replication.tuning.mean();
-      payload.tuning_m2 = replication.tuning.m2();
-      payload.round_access_mean = replication.round_access_mean;
-      payload.round_tuning_mean = replication.round_tuning_mean;
-      payload.metrics = replication.metrics;
-      payloads->push_back(std::move(payload));
-
-      merged.access.Merge(replication.access);
-      merged.tuning.Merge(replication.tuning);
-      merged.probes.Merge(replication.probes);
-      merged.access_histogram.Merge(replication.access_histogram);
-      merged.tuning_histogram.Merge(replication.tuning_histogram);
-      merged.found += replication.found;
-      merged.abandoned += replication.abandoned;
-      merged.false_drops += replication.false_drops;
-      merged.anomalies += replication.anomalies;
-      merged.outcome_mismatches += replication.outcome_mismatches;
-      merged.metrics.Merge(replication.metrics);
-      accuracy.AddRound(replication.round_access_mean,
-                        replication.round_tuning_mean);
+    for (const auto& [id, replication] : mergeable) {
+      if (payloads != nullptr) payloads->push_back(PayloadOf(id, replication));
+      MergeReplication(replication, &merged, &accuracy);
+      if (payloads == nullptr &&
+          accuracy.ShouldStop(config.min_rounds, config.max_rounds)) {
+        // Cancellation point: later replications — in flight or already
+        // parked in the buffer — are speculative waste from here on.
+        stop = true;
+        break;
+      }
     }
   }
 
+  // Drain in-flight speculative replications; they only touch the
+  // reorder buffer, never the merged statistics.
   pool_.Wait();
-  timing_.replications_run += hi - lo;
+  const int rounds = accuracy.rounds();
+  timing_.replications_run += next_submit - lo;
+  timing_.replications_discarded += next_submit - lo - rounds;
   timing_.reorder_buffer_peak =
       std::max(timing_.reorder_buffer_peak, buffer.peak);
 
   merged.requests = merged.access.count();
-  merged.rounds = hi - lo;
+  merged.rounds = rounds;
   merged.converged = accuracy.Satisfied();
   merged.access_check = accuracy.access_check();
   merged.tuning_check = accuracy.tuning_check();
-
   FillChannelShape(server, &merged);
 
   const double wall = SecondsSince(start);
-  timing_.replications_merged += hi - lo;
+  timing_.replications_merged += rounds;
   timing_.wall_seconds += wall;
   timing_.busy_seconds = pool_.busy_seconds();
   timing_.idle_seconds +=
@@ -396,8 +308,8 @@ std::vector<Result<SimulationResult>> ParallelExperiment::RunSweep(
       }
     }
     if (shard_.active()) {
-      results.push_back(RunShardCell(cell, ranges[c].lo, ranges[c].hi,
-                                     &shard_cell.replications));
+      results.push_back(RunCell(cell, ranges[c].lo, ranges[c].hi,
+                                &shard_cell.replications));
       shard_cells_.push_back(std::move(shard_cell));
     } else {
       results.push_back(Run(cell));

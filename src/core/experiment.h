@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "core/broadcast_server.h"
 #include "core/program_cache.h"
 #include "core/report.h"
 #include "core/shard.h"
@@ -19,9 +20,9 @@ namespace airindex {
 /// Options of the parallel replication engine.
 struct ParallelOptions {
   /// Worker threads; <= 0 means std::thread::hardware_concurrency().
-  /// jobs = 1 runs every replication serially on one worker — today's
-  /// single-threaded behaviour — and, by construction, produces exactly
-  /// the same statistics as any other jobs value.
+  /// jobs = 1 runs every replication serially on one worker and, by
+  /// construction, produces exactly the same statistics as any other
+  /// jobs value.
   int jobs = 0;
   /// Extra replications kept in flight beyond the pool width, so a
   /// worker finishing early always finds the next replication already
@@ -37,6 +38,21 @@ struct ParallelOptions {
   /// sharding is a sweep-level concept.
   ShardSpec shard = {};
 };
+
+/// What every engine builds once per cell before any request runs: the
+/// resolved dataset and the broadcast server over it.
+struct TestbedProgram {
+  std::shared_ptr<const Dataset> dataset;
+  BroadcastServer server;
+};
+
+/// Builds `config`'s dataset (BuildTestbedDataset) and broadcast server.
+/// When config.program_cache_dir is set the server's program comes from
+/// `*program_cache`, which is (re)created whenever the directory differs
+/// from the one it holds. `config` must already be validated.
+Result<TestbedProgram> BuildTestbedProgram(
+    const TestbedConfig& config,
+    std::unique_ptr<ProgramCache>* program_cache);
 
 /// Multi-threaded replication engine.
 ///
@@ -75,8 +91,7 @@ class ParallelExperiment {
   Result<SimulationResult> Run(const TestbedConfig& config);
 
   /// Runs a grid of configurations, one result per config in input
-  /// order — the one sweep entry point (the old free RunSweep, which ran
-  /// one serial RunTestbed per cell, is gone). Grid points run
+  /// order — the one sweep entry point. Grid points run
   /// sequentially with their replications parallelised, so each point's
   /// statistics are independent of the grid around it (and of jobs).
   ///
@@ -109,15 +124,17 @@ class ParallelExperiment {
   const ProgramCache* program_cache() const { return program_cache_.get(); }
 
  private:
-  /// Runs replications [lo, hi) of one sweep cell with absolute ids and
-  /// no stopping rule, appending their raw merge state to `payloads`.
-  /// The returned result is this shard's local view (its own
-  /// replications merged in id order) — useful for progress tables, but
-  /// only bench_merge's replay reconstructs the real point.
-  Result<SimulationResult> RunShardCell(const TestbedConfig& config, int lo,
-                                        int hi,
-                                        std::vector<ReplicationPayload>*
-                                            payloads);
+  /// The one cell driver: builds the cell once, streams replications
+  /// [lo, hi) (absolute ids) through the pool and merges them in id
+  /// order. Without `payloads` this is Run: lo = 0, hi = max_rounds, and
+  /// the adaptive stopping rule may end the cell early. With `payloads`
+  /// it is one shard's slice of a sweep cell: every replication runs,
+  /// each one's raw merge state is appended to `payloads`, and the
+  /// returned result is only this shard's local view — bench_merge's
+  /// replay reconstructs the real point.
+  Result<SimulationResult> RunCell(const TestbedConfig& config, int lo,
+                                   int hi,
+                                   std::vector<ReplicationPayload>* payloads);
 
   /// One shared Zipf sampling table per distinct (ranks, theta):
   /// replications — and same-shape sweep cells, since the cache persists
@@ -140,6 +157,14 @@ class ParallelExperiment {
                         std::shared_ptr<const ZipfDistribution>>>
       zipf_cache_;
 };
+
+/// The testbed's Simulator (paper Section 3): "acts as the coordinator of
+/// the whole simulation process" — builds the data source and broadcast
+/// server, runs rounds of requests, and stops when the accuracy
+/// controller is satisfied. It is exactly
+/// ParallelExperiment({.jobs = 1}).Run(config): one call for examples and
+/// tests that do not need a long-lived engine.
+Result<SimulationResult> RunTestbed(const TestbedConfig& config);
 
 }  // namespace airindex
 

@@ -122,26 +122,10 @@ Result<FleetRunResult> FleetExperiment::Run(const TestbedConfig& config,
                                             const FleetOptions& options) {
   if (Status s = ValidateFleetConfig(config, options); !s.ok()) return s;
 
-  Result<std::shared_ptr<const Dataset>> dataset_result =
-      BuildTestbedDataset(config);
-  if (!dataset_result.ok()) return dataset_result.status();
-  const std::shared_ptr<const Dataset> dataset =
-      std::move(dataset_result).value();
-
-  ProgramCache* cache = nullptr;
-  if (!config.program_cache_dir.empty()) {
-    if (program_cache_ == nullptr ||
-        program_cache_->dir() != config.program_cache_dir) {
-      program_cache_ = std::make_unique<ProgramCache>(config.program_cache_dir);
-    }
-    cache = program_cache_.get();
-  }
-  Result<BroadcastServer> server_result =
-      BroadcastServer::Create(config.scheme, dataset, config.geometry,
-                              ResolvedSchemeParams(config),
-                              config.multichannel, cache);
-  if (!server_result.ok()) return server_result.status();
-  const BroadcastServer server = std::move(server_result).value();
+  Result<TestbedProgram> program = BuildTestbedProgram(config, &program_cache_);
+  if (!program.ok()) return program.status();
+  const std::shared_ptr<const Dataset>& dataset = program.value().dataset;
+  const BroadcastServer& server = program.value().server;
 
   std::optional<ZipfDistribution> zipf;
   if (config.zipf_theta > 0.0) {
@@ -190,16 +174,11 @@ Result<FleetRunResult> FleetExperiment::Run(const TestbedConfig& config,
     run.totals.Merge(shard);
   }
   run.metrics = SnapshotFleetMetrics(run.totals, config, shards, server);
-  if (const MultiChannelProgram* multi = server.multichannel();
-      multi != nullptr) {
-    run.cycle_bytes = multi->group().max_cycle_bytes();
-    run.num_buckets = static_cast<std::int64_t>(multi->group().num_buckets());
-    run.num_channels = multi->group().num_channels();
-  } else {
-    run.cycle_bytes = server.channel().cycle_bytes();
-    run.num_buckets = static_cast<std::int64_t>(server.channel().num_buckets());
-    run.num_channels = 1;
-  }
+  SimulationResult shape;
+  FillChannelShape(server, &shape);
+  run.cycle_bytes = shape.cycle_bytes;
+  run.num_buckets = shape.num_buckets;
+  run.num_channels = shape.num_channels;
 
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)

@@ -394,8 +394,7 @@ Result<BenchReport> MergeShardedReports(
       accuracy.AddRound(payload->round_access_mean,
                         payload->round_tuning_mean);
       ++rounds;
-      if ((rounds >= reference.min_rounds && accuracy.Satisfied()) ||
-          rounds >= reference.max_rounds) {
+      if (accuracy.ShouldStop(reference.min_rounds, reference.max_rounds)) {
         stop = true;
         break;
       }

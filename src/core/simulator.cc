@@ -11,7 +11,6 @@
 
 #include "broadcast/schedule.h"
 #include "client/session_client.h"
-#include "core/accuracy_controller.h"
 #include "core/broadcast_server.h"
 #include "core/deadline.h"
 #include "core/error_model.h"
@@ -27,15 +26,14 @@ namespace airindex {
 
 namespace {
 
-/// Per-run scheduling state, bundled into one struct so the arrival
-/// closure spends a single inline-capture slot on it (the EventQueue
-/// fits_inline budget). For kFlat configs nothing activates and scheme()
-/// forwards the server's scheme, so those paths stay byte-identical with
-/// the committed baselines. For kOnline the runtime owns the live
-/// re-tiered program: every on-air request feeds the retierer, and a
-/// full epoch swaps a rebuilt program in for the *next* request — safe
-/// at any phase because the client walks are closed-form over the
-/// current channel, never spanning a swap.
+/// Per-replication scheduling state, owned by the access pipeline. For
+/// kFlat configs nothing activates and scheme() forwards the server's
+/// scheme, so those paths stay byte-identical with the committed
+/// baselines. For kOnline the runtime owns the live re-tiered program:
+/// every on-air request feeds the retierer, and a full epoch swaps a
+/// rebuilt program in for the *next* request — safe at any phase because
+/// the client walks are closed-form over the current channel, never
+/// spanning a swap.
 struct ScheduleRuntime {
   const BroadcastScheme* base = nullptr;
   const Dataset* dataset = nullptr;
@@ -102,185 +100,6 @@ struct ScheduleRuntime {
   }
 };
 
-/// Snapshots one run's telemetry into a registry. Every run touches the
-/// same names in the same order, which keeps the merged entry order (and
-/// therefore the JSON report) deterministic and --jobs independent.
-MetricsRegistry SnapshotRunMetrics(const Simulation& simulation,
-                                   const BroadcastServer& server,
-                                   const ResultHandler& results,
-                                   const SessionClient* session,
-                                   const ScheduleRuntime& schedule,
-                                   const DynamicRuntime& dynamic) {
-  MetricsRegistry metrics;
-  metrics.Increment("sim.events_processed",
-                    static_cast<std::int64_t>(simulation.events_processed()));
-  metrics.Increment("server.buckets_broadcast",
-                    server.BucketsBroadcastBy(simulation.now()));
-  metrics.Increment("client.buckets_listened", results.buckets_listened());
-  metrics.Increment("client.bytes_listened", results.bytes_listened());
-  metrics.Increment("client.bytes_dozed", results.bytes_dozed());
-  metrics.Increment("client.index_probes", results.index_probes());
-  metrics.Increment("client.overflow_hops", results.overflow_hops());
-  metrics.Increment("client.error_retries", results.error_retries());
-  // The multichannel block is emitted only when a channel group is in
-  // play, so single-channel reports stay byte-identical with the
-  // pre-multichannel baselines.
-  if (const MultiChannelProgram* multi = server.multichannel();
-      multi != nullptr) {
-    metrics.Increment("client.channel_hops", results.channel_hops());
-    metrics.Increment("client.switch_bytes", results.switch_bytes());
-    for (int c = 0; c < multi->group().num_channels(); ++c) {
-      metrics.Increment("client.tuning_bytes_ch" + std::to_string(c),
-                        results.tuning_bytes_on_channel(c));
-    }
-    // Conflict-aware placement counters, only for scheduled groups so
-    // flat-scheduler multichannel reports stay byte-identical.
-    if (schedule.planned.has_value()) {
-      const ConflictPlacement& conflict = multi->conflict_placement();
-      metrics.Increment("schedule.conflict_pairs", conflict.hot_pairs);
-      metrics.Increment("schedule.conflict_baseline",
-                        conflict.baseline_collisions);
-      metrics.Increment("schedule.conflict_collisions", conflict.collisions);
-    }
-  }
-  // Likewise the session block appears only when the client cache is
-  // engaged, keeping stateless-client reports byte-identical.
-  if (session != nullptr) {
-    metrics.Increment("client.session_queries", session->session_queries());
-    metrics.Increment("client.cache_hits", session->hits());
-    metrics.Increment("client.cache_misses", session->misses());
-    metrics.Increment("client.cache_hit_bytes", session->hit_bytes());
-    metrics.Increment("client.cache_validation_bytes",
-                      session->validation_bytes());
-    metrics.Increment("client.cache_invalidations",
-                      session->invalidations());
-    metrics.Increment("client.cache_evictions", session->evictions());
-    metrics.Increment("client.cache_warm_inserts", session->warm_inserts());
-  }
-  // The schedule block appears only for single-channel scheduled runs,
-  // keeping flat-scheduler reports byte-identical with the committed
-  // baselines. occurrences == data_slots is the exact per-cycle
-  // accounting identity bench_compare --strict-counters enforces; it
-  // holds across re-tiers because the boundary/frequency template is
-  // fixed.
-  if (schedule.planned.has_value() && server.multichannel() == nullptr) {
-    metrics.Increment("schedule.num_disks",
-                      static_cast<std::int64_t>(schedule.planned->num_disks()));
-    metrics.Increment(
-        "schedule.major_frequency",
-        static_cast<std::int64_t>(schedule.planned->max_frequency()));
-    metrics.Increment("schedule.data_slots",
-                      schedule.planned->SlotsPerMajorCycle());
-    metrics.Increment("schedule.occurrences",
-                      static_cast<std::int64_t>(
-                          schedule.scheme().channel().num_data_buckets()));
-    metrics.Increment("schedule.retier_epochs", schedule.epochs);
-    metrics.Increment("schedule.retier_moves", schedule.moves);
-    metrics.Increment("schedule.rebuild_failures", schedule.rebuild_failures);
-  }
-  // The dynamic block appears only when the mutation engine is engaged
-  // (update_rate > 0) — a config-level predicate, so every replication
-  // of a run emits the same names and --update-rate 0 reports stay
-  // byte-identical with the committed baselines. The identities
-  // bench_compare --strict-counters pins are documented in
-  // docs/METRICS.md.
-  if (dynamic.active()) {
-    const DynamicCounters& d = dynamic.counters();
-    metrics.Increment("dynamic.cycles", d.cycles);
-    metrics.Increment("dynamic.patched_cycles", d.patched_cycles);
-    metrics.Increment("dynamic.rebuilt_cycles", d.rebuilt_cycles);
-    metrics.Increment("dynamic.mutations", d.mutations);
-    metrics.Increment("dynamic.inserts", d.inserts);
-    metrics.Increment("dynamic.deletes", d.deletes);
-    metrics.Increment("dynamic.updates", d.updates);
-    metrics.Increment("dynamic.freelist_pushes", d.freelist_pushes);
-    metrics.Increment("dynamic.freelist_pops", d.freelist_pops);
-    metrics.Increment("dynamic.delta_appends", d.delta_appends);
-    metrics.Increment("dynamic.queries", d.queries);
-    metrics.Increment("dynamic.dirty_queries", d.dirty_queries);
-    metrics.Increment("dynamic.delta_reads", d.delta_reads);
-    metrics.Increment("dynamic.delta_read_bytes", d.delta_read_bytes);
-    metrics.Increment("dynamic.compaction_failures",
-                      dynamic.compaction_failures());
-    // Stale reads are the session client's invalidations: a cached copy
-    // whose record the MutationLog has since touched. Without a cache
-    // nothing can be read stale.
-    metrics.Increment("dynamic.stale_reads",
-                      session != nullptr ? session->invalidations() : 0);
-  }
-  return metrics;
-}
-
-/// Miss path of the session client: the wrapped scheme with the same
-/// unreliable-channel and deadline wrappers the stateless client runs.
-/// With the dynamic-dataset layer active, misses route through the
-/// mutable overlay instead (the validator pins dynamic runs to a
-/// lossless single channel, so the unreliable wrapper never composes
-/// with it).
-struct ServerFetcher final : RecordFetcher {
-  ServerFetcher(const BroadcastServer* server_in,
-                const TestbedConfig* config_in, Rng* error_rng_in,
-                bool unreliable_in, DynamicRuntime* dynamic_in)
-      : server(server_in),
-        config(config_in),
-        error_rng(error_rng_in),
-        unreliable(unreliable_in),
-        dynamic(dynamic_in) {}
-
-  const BroadcastServer* server;
-  const TestbedConfig* config;
-  Rng* error_rng;
-  bool unreliable;
-  DynamicRuntime* dynamic;
-
-  AccessResult Fetch(std::string_view key, Bytes tune_in) override {
-    if (dynamic != nullptr && dynamic->active()) {
-      return ApplyDeadline(dynamic->Access(key, tune_in), config->deadline);
-    }
-    return ApplyDeadline(
-        unreliable ? AccessWithErrors(server->scheme(), key, tune_in,
-                                      config->error_model, error_rng)
-                   : server->Listen(key, tune_in),
-        config->deadline);
-  }
-};
-
-/// Adapts the dynamic runtime's MutationLog to the session client's
-/// version interface, replacing the synthetic update schedule with real
-/// server-side mutations.
-struct DynamicVersions final : DynamicVersionSource {
-  DynamicRuntime* runtime = nullptr;
-
-  std::int64_t Version(int record_index, Bytes now) override {
-    return runtime->VersionAt(record_index, now);
-  }
-};
-
-/// Starts the dynamic-dataset overlay for a run when the config asks
-/// for server-side mutations. `seed` is the config's master seed in
-/// RunTestbed and the replication seed in RunReplication: each
-/// replication owns an independent slice of mutation history (like its
-/// request stream), which is what keeps --jobs bit-identity.
-Status StartDynamicRuntime(DynamicRuntime* dynamic,
-                           const TestbedConfig& config,
-                           std::shared_ptr<const Dataset> universe,
-                           const BroadcastServer& server,
-                           std::uint64_t seed) {
-  if (config.client.update_rate <= 0.0) return Status::Ok();
-  DynamicRuntime::Params params;
-  params.kind = config.scheme;
-  params.universe = std::move(universe);
-  params.geometry = config.geometry;
-  params.scheme_params = ResolvedSchemeParams(config);
-  params.update_rate = config.client.update_rate;
-  params.update_zipf = config.client.update_zipf;
-  params.compact_every = config.client.compact_every;
-  params.seed = Mix64(seed ^ 0xdc2a5ee0ULL);
-  params.epoch_bytes = server.channel().cycle_bytes();
-  params.base_scheme = &server.scheme();
-  return dynamic->Start(std::move(params));
-}
-
 /// The longest broadcast cycle in play — the time base of the server
 /// update schedule (update_rate is "updates per broadcast cycle").
 Bytes ServerCycleBytes(const BroadcastServer& server) {
@@ -326,16 +145,239 @@ std::vector<double> SessionFrequencies(const BroadcastServer& server,
   return BroadcastFrequencies(channels, num_records);
 }
 
-/// Runs the configured warmup queries through the cache's fast path so
-/// measurement starts at the steady state the analytical models
-/// describe. Draws from the measured generator stream (deterministic);
-/// absent keys warm nothing, exactly like a measured miss.
-void WarmSessionCache(SessionClient* session, RequestGenerator* generator,
-                      int warmup_queries) {
-  for (int i = 0; i < warmup_queries; ++i) {
-    const Query query = generator->NextQuery();
-    if (query.on_air) session->WarmInsert(query.key, 0);
+/// One replication's access pipeline: the only place a request meets the
+/// broadcast. It owns every piece of per-replication client and server
+/// state — the schedule runtime, the dynamic-dataset overlay, the
+/// unreliable channel's RNG and the session client — so a replication
+/// stays a pure function of (server, dataset, config, seed) and --jobs
+/// bit-identity holds.
+///
+/// A request runs the session cache when one is configured; its misses,
+/// and every request of a stateless client, take the same protocol walk
+/// (Protocol): the dynamic overlay when the data mutates, otherwise the
+/// live scheme over the lossy or lossless channel, then the deadline.
+/// The pipeline is itself the session's RecordFetcher and, with the
+/// overlay active, its DynamicVersionSource.
+class AccessPipeline final : public RecordFetcher,
+                             public DynamicVersionSource {
+ public:
+  struct Outcome {
+    AccessResult access;
+    /// The generator's on-air draw, gated by record liveness at the
+    /// instant the access ran: a record the MutationLog has deleted is
+    /// legitimately not found.
+    bool expected_on_air = false;
+  };
+
+  /// Starts the schedule runtime and, when the config asks for them, the
+  /// dynamic overlay (seeded from `seed`: each replication owns an
+  /// independent slice of mutation history, like its request stream)
+  /// and the session client. `error_rng` is the unreliable channel's
+  /// stream.
+  AccessPipeline(const BroadcastServer& server, const Dataset& dataset,
+                 const TestbedConfig& config, std::uint64_t seed,
+                 Rng error_rng)
+      : server_(server),
+        config_(config),
+        error_rng_(error_rng),
+        unreliable_(config.error_model.bucket_error_rate > 0.0) {
+    schedule_.Start(server, dataset, config);
+    if (config.client.update_rate > 0.0) {
+      DynamicRuntime::Params params;
+      params.kind = config.scheme;
+      params.universe = std::shared_ptr<const Dataset>(
+          std::shared_ptr<const void>(), &dataset);
+      params.geometry = config.geometry;
+      params.scheme_params = ResolvedSchemeParams(config);
+      params.update_rate = config.client.update_rate;
+      params.update_zipf = config.client.update_zipf;
+      params.compact_every = config.client.compact_every;
+      params.seed = Mix64(seed ^ 0xdc2a5ee0ULL);
+      params.epoch_bytes = server.channel().cycle_bytes();
+      params.base_scheme = &server.scheme();
+      // Cannot fail: the server was built from the same validated config.
+      const Status started = dynamic_.Start(std::move(params));
+      (void)started;
+    }
+    // Engaged only when the cache has capacity — the zero-capacity
+    // bypass keeps stateless runs byte-identical.
+    if (config.client.cache_capacity > 0) {
+      SessionClientParams params = BuildSessionParams(config, server);
+      if (dynamic_.active()) params.versions = this;
+      session_.emplace(&dataset, params,
+                       SessionFrequencies(server, dataset.size(),
+                                          config.client.cache_policy),
+                       this);
+    }
   }
+
+  AccessPipeline(const AccessPipeline&) = delete;
+  AccessPipeline& operator=(const AccessPipeline&) = delete;
+
+  /// Runs the configured warmup queries through the cache's fast path so
+  /// measurement starts at the steady state the analytical models
+  /// describe. Draws from the measured generator stream (deterministic);
+  /// absent keys warm nothing, exactly like a measured miss.
+  void WarmCache(RequestGenerator* generator) {
+    if (!session_) return;
+    for (int i = 0; i < config_.client.warmup_queries; ++i) {
+      const Query query = generator->NextQuery();
+      if (query.on_air) session_->WarmInsert(query.key, 0);
+    }
+  }
+
+  /// Serves `query` for a client tuning in at `now`.
+  Outcome Access(const Query& query, Bytes now) {
+    const AccessResult access = session_ ? session_->Access(query.key, now)
+                                         : Protocol(query.key, now);
+    if (schedule_.observing() && query.on_air) schedule_.Observe(query.key);
+    return {access, dynamic_.active() ? dynamic_.ExpectedOnAir(
+                                            query.on_air, query.key, now)
+                                      : query.on_air};
+  }
+
+  /// The session client's miss path.
+  AccessResult Fetch(std::string_view key, Bytes tune_in) override {
+    return Protocol(key, tune_in);
+  }
+
+  /// The session client's record versions: the overlay's MutationLog
+  /// replaces the synthetic update schedule.
+  std::int64_t Version(int record_index, Bytes now) override {
+    return dynamic_.VersionAt(record_index, now);
+  }
+
+  MetricsRegistry SnapshotMetrics(const Simulation& simulation,
+                                  const ResultHandler& results) const;
+
+ private:
+  AccessResult Protocol(std::string_view key, Bytes tune_in) {
+    if (dynamic_.active()) {
+      return ApplyDeadline(dynamic_.Access(key, tune_in), config_.deadline);
+    }
+    return ApplyDeadline(
+        unreliable_ ? AccessWithErrors(schedule_.scheme(), key, tune_in,
+                                       config_.error_model, &error_rng_)
+                    : schedule_.scheme().Access(key, tune_in),
+        config_.deadline);
+  }
+
+  const BroadcastServer& server_;
+  const TestbedConfig& config_;
+  Rng error_rng_;
+  const bool unreliable_;
+  ScheduleRuntime schedule_;
+  DynamicRuntime dynamic_;
+  std::optional<SessionClient> session_;
+};
+
+/// Snapshots one replication's telemetry into a registry. Every
+/// replication touches the same names in the same order, which keeps the
+/// merged entry order (and therefore the JSON report) deterministic and
+/// --jobs independent.
+MetricsRegistry AccessPipeline::SnapshotMetrics(
+    const Simulation& simulation, const ResultHandler& results) const {
+  const SessionClient* session = session_ ? &*session_ : nullptr;
+  MetricsRegistry metrics;
+  metrics.Increment("sim.events_processed",
+                    static_cast<std::int64_t>(simulation.events_processed()));
+  metrics.Increment("server.buckets_broadcast",
+                    server_.BucketsBroadcastBy(simulation.now()));
+  metrics.Increment("client.buckets_listened", results.buckets_listened());
+  metrics.Increment("client.bytes_listened", results.bytes_listened());
+  metrics.Increment("client.bytes_dozed", results.bytes_dozed());
+  metrics.Increment("client.index_probes", results.index_probes());
+  metrics.Increment("client.overflow_hops", results.overflow_hops());
+  metrics.Increment("client.error_retries", results.error_retries());
+  // The multichannel block is emitted only when a channel group is in
+  // play, so single-channel reports stay byte-identical with the
+  // pre-multichannel baselines.
+  if (const MultiChannelProgram* multi = server_.multichannel();
+      multi != nullptr) {
+    metrics.Increment("client.channel_hops", results.channel_hops());
+    metrics.Increment("client.switch_bytes", results.switch_bytes());
+    for (int c = 0; c < multi->group().num_channels(); ++c) {
+      metrics.Increment("client.tuning_bytes_ch" + std::to_string(c),
+                        results.tuning_bytes_on_channel(c));
+    }
+    // Conflict-aware placement counters, only for scheduled groups so
+    // flat-scheduler multichannel reports stay byte-identical.
+    if (schedule_.planned.has_value()) {
+      const ConflictPlacement& conflict = multi->conflict_placement();
+      metrics.Increment("schedule.conflict_pairs", conflict.hot_pairs);
+      metrics.Increment("schedule.conflict_baseline",
+                        conflict.baseline_collisions);
+      metrics.Increment("schedule.conflict_collisions", conflict.collisions);
+    }
+  }
+  // Likewise the session block appears only when the client cache is
+  // engaged, keeping stateless-client reports byte-identical.
+  if (session != nullptr) {
+    metrics.Increment("client.session_queries", session->session_queries());
+    metrics.Increment("client.cache_hits", session->hits());
+    metrics.Increment("client.cache_misses", session->misses());
+    metrics.Increment("client.cache_hit_bytes", session->hit_bytes());
+    metrics.Increment("client.cache_validation_bytes",
+                      session->validation_bytes());
+    metrics.Increment("client.cache_invalidations",
+                      session->invalidations());
+    metrics.Increment("client.cache_evictions", session->evictions());
+    metrics.Increment("client.cache_warm_inserts", session->warm_inserts());
+  }
+  // The schedule block appears only for single-channel scheduled runs,
+  // keeping flat-scheduler reports byte-identical with the committed
+  // baselines. occurrences == data_slots is the exact per-cycle
+  // accounting identity bench_compare --strict-counters enforces; it
+  // holds across re-tiers because the boundary/frequency template is
+  // fixed.
+  if (schedule_.planned.has_value() && server_.multichannel() == nullptr) {
+    metrics.Increment(
+        "schedule.num_disks",
+        static_cast<std::int64_t>(schedule_.planned->num_disks()));
+    metrics.Increment(
+        "schedule.major_frequency",
+        static_cast<std::int64_t>(schedule_.planned->max_frequency()));
+    metrics.Increment("schedule.data_slots",
+                      schedule_.planned->SlotsPerMajorCycle());
+    metrics.Increment("schedule.occurrences",
+                      static_cast<std::int64_t>(
+                          schedule_.scheme().channel().num_data_buckets()));
+    metrics.Increment("schedule.retier_epochs", schedule_.epochs);
+    metrics.Increment("schedule.retier_moves", schedule_.moves);
+    metrics.Increment("schedule.rebuild_failures",
+                      schedule_.rebuild_failures);
+  }
+  // The dynamic block appears only when the mutation engine is engaged
+  // (update_rate > 0) — a config-level predicate, so every replication
+  // of a run emits the same names and --update-rate 0 reports stay
+  // byte-identical with the committed baselines. The identities
+  // bench_compare --strict-counters pins are documented in
+  // docs/METRICS.md.
+  if (dynamic_.active()) {
+    const DynamicCounters& d = dynamic_.counters();
+    metrics.Increment("dynamic.cycles", d.cycles);
+    metrics.Increment("dynamic.patched_cycles", d.patched_cycles);
+    metrics.Increment("dynamic.rebuilt_cycles", d.rebuilt_cycles);
+    metrics.Increment("dynamic.mutations", d.mutations);
+    metrics.Increment("dynamic.inserts", d.inserts);
+    metrics.Increment("dynamic.deletes", d.deletes);
+    metrics.Increment("dynamic.updates", d.updates);
+    metrics.Increment("dynamic.freelist_pushes", d.freelist_pushes);
+    metrics.Increment("dynamic.freelist_pops", d.freelist_pops);
+    metrics.Increment("dynamic.delta_appends", d.delta_appends);
+    metrics.Increment("dynamic.queries", d.queries);
+    metrics.Increment("dynamic.dirty_queries", d.dirty_queries);
+    metrics.Increment("dynamic.delta_reads", d.delta_reads);
+    metrics.Increment("dynamic.delta_read_bytes", d.delta_read_bytes);
+    metrics.Increment("dynamic.compaction_failures",
+                      dynamic_.compaction_failures());
+    // Stale reads are the session client's invalidations: a cached copy
+    // whose record the MutationLog has since touched. Without a cache
+    // nothing can be read stale.
+    metrics.Increment("dynamic.stale_reads",
+                      session != nullptr ? session->invalidations() : 0);
+  }
+  return metrics;
 }
 
 }  // namespace
@@ -525,155 +567,12 @@ Result<std::shared_ptr<const Dataset>> BuildTestbedDataset(
       std::move(dataset_result).value());
 }
 
-Result<SimulationResult> RunTestbed(const TestbedConfig& config) {
-  if (Status s = ValidateTestbedConfig(config); !s.ok()) return s;
-
-  // --- Initialization stage (paper Section 3). ---------------------------
-  Result<std::shared_ptr<const Dataset>> dataset_result =
-      BuildTestbedDataset(config);
-  if (!dataset_result.ok()) return dataset_result.status();
-  const std::shared_ptr<const Dataset> dataset =
-      std::move(dataset_result).value();
-
-  Result<BroadcastServer> server_result =
-      BroadcastServer::Create(config.scheme, dataset, config.geometry,
-                              ResolvedSchemeParams(config),
-                              config.multichannel);
-  if (!server_result.ok()) return server_result.status();
-  const BroadcastServer server = std::move(server_result).value();
-
-  ScheduleRuntime schedule;
-  schedule.Start(server, *dataset, config);
-
-  // Dynamic-dataset overlay (src/dynamic), engaged only when the config
-  // asks for server updates — the --update-rate 0 bypass keeps frozen
-  // runs byte-identical.
-  DynamicRuntime dynamic;
-  if (Status s =
-          StartDynamicRuntime(&dynamic, config, dataset, server, config.seed);
-      !s.ok()) {
-    return s;
-  }
-
-  Rng master(config.seed);
-  RequestGenerator generator(
-      dataset.get(), config.data_availability,
-      config.mean_request_interval_bytes, master.Split(), config.zipf_theta,
-      nullptr,
-      SessionWorkload{config.client.session_length,
-                      config.client.repeat_probability});
-  Rng error_rng = master.Split();
-  const bool unreliable = config.error_model.bucket_error_rate > 0.0;
-  ResultHandler results;
-  AccuracyController accuracy(config.confidence_level,
-                              config.confidence_accuracy);
-
-  // Stateful-client wrapper, engaged only when the cache has capacity —
-  // the zero-capacity bypass keeps stateless runs byte-identical.
-  ServerFetcher fetcher{&server, &config, &error_rng, unreliable, &dynamic};
-  DynamicVersions versions{};
-  versions.runtime = &dynamic;
-  std::optional<SessionClient> session_storage;
-  if (config.client.cache_capacity > 0) {
-    SessionClientParams session_params = BuildSessionParams(config, server);
-    if (dynamic.active()) session_params.versions = &versions;
-    session_storage.emplace(
-        dataset.get(), session_params,
-        SessionFrequencies(server, dataset->size(),
-                           config.client.cache_policy),
-        &fetcher);
-    WarmSessionCache(&*session_storage, &generator,
-                     config.client.warmup_queries);
-  }
-  SessionClient* session = session_storage ? &*session_storage : nullptr;
-
-  // --- Simulation stage. --------------------------------------------------
-  Simulation simulation;
-  bool stop = false;
-
-  // Request arrival: run the access protocol (the pure "listen" walk) and
-  // schedule the completion event at the download time. Both event
-  // closures must fit the EventQueue's inline buffer so the per-request
-  // path never heap-allocates.
-  std::function<void()> schedule_next_arrival = [&]() {
-    auto on_arrival = [&]() {
-      const Query query = generator.NextQuery();
-      const AccessResult access =
-          session != nullptr
-              ? session->Access(query.key, simulation.now())
-          : dynamic.active()
-              ? ApplyDeadline(dynamic.Access(query.key, simulation.now()),
-                              config.deadline)
-              : ApplyDeadline(
-                    unreliable
-                        ? AccessWithErrors(schedule.scheme(), query.key,
-                                           simulation.now(),
-                                           config.error_model, &error_rng)
-                        : schedule.scheme().Access(query.key,
-                                                   simulation.now()),
-                    config.deadline);
-      if (schedule.observing() && query.on_air) schedule.Observe(query.key);
-      // Liveness-adjusted outcome expectation, evaluated at the same
-      // tune-in instant the access ran: a record the MutationLog has
-      // deleted is legitimately not found.
-      const bool on_air =
-          dynamic.active()
-              ? dynamic.ExpectedOnAir(query.on_air, query.key,
-                                      simulation.now())
-              : query.on_air;
-      auto on_completion = [&, access, on_air]() {
-        results.Add(access, on_air);
-        if (results.round_size() >= config.requests_per_round) {
-          const ResultHandler::RoundStats round = results.CloseRound();
-          accuracy.AddRound(round.access_mean, round.tuning_mean);
-          const bool enough_rounds = accuracy.rounds() >= config.min_rounds;
-          const bool capped = accuracy.rounds() >= config.max_rounds;
-          if ((enough_rounds && accuracy.Satisfied()) || capped) stop = true;
-        }
-      };
-      static_assert(
-          EventQueue::Callback::fits_inline<decltype(on_completion)>,
-          "completion event must stay allocation-free");
-      simulation.ScheduleIn(access.access_time, std::move(on_completion));
-      if (!stop) schedule_next_arrival();
-    };
-    static_assert(EventQueue::Callback::fits_inline<decltype(on_arrival)>,
-                  "arrival event must stay allocation-free");
-    simulation.ScheduleIn(generator.NextInterArrival(),
-                          std::move(on_arrival));
-  };
-  schedule_next_arrival();
-  simulation.Run([&]() { return stop; });
-
-  // --- End stage. ----------------------------------------------------------
-  SimulationResult result;
-  result.access = results.access();
-  result.tuning = results.tuning();
-  result.probes = results.probes();
-  result.access_histogram = results.access_histogram();
-  result.tuning_histogram = results.tuning_histogram();
-  result.requests = results.requests();
-  result.rounds = accuracy.rounds();
-  result.converged = accuracy.Satisfied();
-  result.access_check = accuracy.access_check();
-  result.tuning_check = accuracy.tuning_check();
-  result.found = results.found();
-  result.abandoned = results.abandoned();
-  result.false_drops = results.false_drops();
-  result.anomalies = results.anomalies();
-  result.outcome_mismatches = results.outcome_mismatches();
-  result.metrics = SnapshotRunMetrics(simulation, server, results, session,
-                                      schedule, dynamic);
-  FillChannelShape(server, &result);
-  return result;
-}
-
 ReplicationResult RunReplication(const BroadcastServer& server,
                                  const Dataset& dataset,
                                  const TestbedConfig& config,
                                  std::uint64_t replication_seed,
                                  const ZipfDistribution* shared_zipf) {
-  // Mirrors RunTestbed's simulation stage for exactly one round: the
+  // The simulation stage for exactly one round (paper Section 3): the
   // replication draws its own request stream from `replication_seed`,
   // generates `requests_per_round` arrivals, and drains the event queue
   // so every generated request completes.
@@ -684,85 +583,30 @@ ReplicationResult RunReplication(const BroadcastServer& server,
       shared_zipf,
       SessionWorkload{config.client.session_length,
                       config.client.repeat_probability});
-  Rng error_rng = master.Split();
-  const bool unreliable = config.error_model.bucket_error_rate > 0.0;
+  AccessPipeline pipeline(server, dataset, config, replication_seed,
+                          master.Split());
+  pipeline.WarmCache(&generator);
   ResultHandler results;
 
-  // Per-replication scheduling state: each replication drives its own
-  // online re-tiering loop from its own request stream, so the result
-  // stays a pure function of (server, dataset, config, replication_seed)
-  // and --jobs bit-identity holds.
-  ScheduleRuntime schedule;
-  schedule.Start(server, dataset, config);
-
-  // Per-replication dynamic state: each replication replays its own
-  // slice of mutation history seeded from the replication seed, so the
-  // result stays a pure function of (server, dataset, config,
-  // replication_seed) and --jobs bit-identity holds. Start cannot fail
-  // here: the coordinator validated the config before building the
-  // server.
-  DynamicRuntime dynamic;
-  const Status dynamic_status = StartDynamicRuntime(
-      &dynamic, config,
-      std::shared_ptr<const Dataset>(std::shared_ptr<const void>(),
-                                     &dataset),
-      server, replication_seed);
-  (void)dynamic_status;
-
-  // Per-replication client state: the session cache is rebuilt and
-  // re-warmed from this replication's own stream, so the result stays a
-  // pure function of (server, dataset, config, replication_seed) and
-  // --jobs bit-identity holds.
-  ServerFetcher fetcher{&server, &config, &error_rng, unreliable, &dynamic};
-  DynamicVersions versions{};
-  versions.runtime = &dynamic;
-  std::optional<SessionClient> session_storage;
-  if (config.client.cache_capacity > 0) {
-    SessionClientParams session_params = BuildSessionParams(config, server);
-    if (dynamic.active()) session_params.versions = &versions;
-    session_storage.emplace(
-        &dataset, session_params,
-        SessionFrequencies(server, dataset.size(),
-                           config.client.cache_policy),
-        &fetcher);
-    WarmSessionCache(&*session_storage, &generator,
-                     config.client.warmup_queries);
-  }
-  SessionClient* session = session_storage ? &*session_storage : nullptr;
-
+  // Request arrival: run the access protocol (the pure "listen" walk) and
+  // schedule the completion event at the download time. Both event
+  // closures must fit the EventQueue's inline buffer so the per-request
+  // path never heap-allocates.
   Simulation simulation;
   int generated = 0;
   std::function<void()> schedule_next_arrival = [&]() {
     auto on_arrival = [&]() {
       ++generated;
-      const Query query = generator.NextQuery();
-      const AccessResult access =
-          session != nullptr
-              ? session->Access(query.key, simulation.now())
-          : dynamic.active()
-              ? ApplyDeadline(dynamic.Access(query.key, simulation.now()),
-                              config.deadline)
-              : ApplyDeadline(
-                    unreliable
-                        ? AccessWithErrors(schedule.scheme(), query.key,
-                                           simulation.now(),
-                                           config.error_model, &error_rng)
-                        : schedule.scheme().Access(query.key,
-                                                   simulation.now()),
-                    config.deadline);
-      if (schedule.observing() && query.on_air) schedule.Observe(query.key);
-      const bool on_air =
-          dynamic.active()
-              ? dynamic.ExpectedOnAir(query.on_air, query.key,
-                                      simulation.now())
-              : query.on_air;
-      auto on_completion = [&, access, on_air]() {
-        results.Add(access, on_air);
+      const AccessPipeline::Outcome outcome =
+          pipeline.Access(generator.NextQuery(), simulation.now());
+      auto on_completion = [&results, outcome]() {
+        results.Add(outcome.access, outcome.expected_on_air);
       };
       static_assert(
           EventQueue::Callback::fits_inline<decltype(on_completion)>,
           "completion event must stay allocation-free");
-      simulation.ScheduleIn(access.access_time, std::move(on_completion));
+      simulation.ScheduleIn(outcome.access.access_time,
+                            std::move(on_completion));
       if (generated < config.requests_per_round) schedule_next_arrival();
     };
     static_assert(EventQueue::Callback::fits_inline<decltype(on_arrival)>,
@@ -785,8 +629,7 @@ ReplicationResult RunReplication(const BroadcastServer& server,
   replication.false_drops = results.false_drops();
   replication.anomalies = results.anomalies();
   replication.outcome_mismatches = results.outcome_mismatches();
-  replication.metrics = SnapshotRunMetrics(simulation, server, results,
-                                           session, schedule, dynamic);
+  replication.metrics = pipeline.SnapshotMetrics(simulation, results);
   const ResultHandler::RoundStats round = results.CloseRound();
   replication.round_access_mean = round.access_mean;
   replication.round_tuning_mean = round.tuning_mean;

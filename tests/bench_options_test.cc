@@ -45,6 +45,33 @@ TEST(BenchOptionsDeathTest, RejectsNonFiniteNumbers) {
               "invalid value for --zipf: nan");
 }
 
+TEST(BenchOptionsDeathTest, RejectsIntegersPastIntMax) {
+  // 2^32 + 1 and 2^32 + 100 once wrapped to one job and a 100-record
+  // point; a value strtol itself cannot hold sets ERANGE.
+  EXPECT_EXIT(Parse({"--jobs", "4294967297"}), ::testing::ExitedWithCode(2),
+              "invalid value for --jobs: 4294967297");
+  EXPECT_EXIT(Parse({"--records", "4294967396"}),
+              ::testing::ExitedWithCode(2),
+              "invalid value for --records: 4294967396");
+  EXPECT_EXIT(Parse({"--records", "2147483648"}),
+              ::testing::ExitedWithCode(2),
+              "invalid value for --records: 2147483648");
+  EXPECT_EXIT(Parse({"--cache-size", "99999999999999999999999"}),
+              ::testing::ExitedWithCode(2), "invalid value for --cache-size");
+}
+
+TEST(BenchOptionsDeathTest, BoundsJobs) {
+  // Parsing only: no bench (and no thread pool) is started.
+  EXPECT_EXIT(Parse({"--jobs", std::to_string(kMaxBenchJobs + 1)}),
+              ::testing::ExitedWithCode(2), "--jobs must be <= 256");
+}
+
+TEST(BenchOptions, AcceptsIntegerBounds) {
+  EXPECT_EQ(Parse({"--jobs", std::to_string(kMaxBenchJobs)}).jobs,
+            kMaxBenchJobs);
+  EXPECT_EQ(Parse({"--records", "2147483647"}).records, 2147483647);
+}
+
 // The bench invocations of .github/workflows/ci.yml: smoke-bench cold
 // and warm-cache runs, and the sharded-merge job.
 TEST(BenchOptions, ParsesEveryCiInvocation) {

@@ -18,6 +18,7 @@
 
 #include "analytical/models.h"
 #include "broadcast/channel.h"
+#include "core/experiment.h"
 #include "core/simulator.h"
 #include "des/random.h"
 #include "schemes/scheme.h"

@@ -15,6 +15,7 @@
 
 #include "analytical/models.h"
 #include "broadcast/schedule.h"
+#include "core/experiment.h"
 #include "core/metrics.h"
 #include "core/simulator.h"
 #include "core/testbed_config.h"
@@ -268,10 +269,13 @@ TEST(ScheduleTest, SimTracksSquareRootBoundAtPinnedPoint) {
   EXPECT_NEAR(sim.access.mean() / model, 1.0, 0.05);
 
   // Accounting telemetry: every slot of the planned cycle is a record
-  // occurrence, and the planned shape reaches the report unchanged.
-  EXPECT_EQ(MetricValue(sim.metrics, "schedule.num_disks"), kDisks);
+  // occurrence, and the planned shape reaches the report unchanged —
+  // summed over the merged replications, one planned cycle each.
+  EXPECT_EQ(MetricValue(sim.metrics, "schedule.num_disks"),
+            kDisks * sim.rounds);
   EXPECT_EQ(MetricValue(sim.metrics, "schedule.data_slots"),
-            static_cast<double>(assignment.value().SlotsPerMajorCycle()));
+            static_cast<double>(assignment.value().SlotsPerMajorCycle() *
+                                sim.rounds));
   EXPECT_EQ(MetricValue(sim.metrics, "schedule.occurrences"),
             MetricValue(sim.metrics, "schedule.data_slots"));
 

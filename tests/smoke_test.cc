@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "broadcast/channel.h"
+#include "core/experiment.h"
 #include "core/simulator.h"
 #include "data/dataset.h"
 #include "schemes/scheme.h"
