@@ -59,6 +59,19 @@ void BM_ProgramBuild(benchmark::State& state, SchemeKind kind) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 
+/// Flatten alone: the arena write of a prebuilt program (what
+/// BM_ProgramBuild adds on top of BM_ChannelBuild).
+void BM_Flatten(benchmark::State& state, SchemeKind kind) {
+  const auto dataset = BenchDataset(static_cast<int>(state.range(0)));
+  const BucketGeometry geometry;
+  auto scheme = BuildScheme(kind, dataset, geometry).value();
+  for (auto _ : state) {
+    auto arena = FlattenSchemeProgram(kind, *scheme, 1, 2);
+    benchmark::DoNotOptimize(arena);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+
 /// The warm path: restore a ready-to-query scheme from an existing
 /// arena (channel inflation + cheap deterministic aux rebuild).
 void BM_ProgramRestore(benchmark::State& state, SchemeKind kind) {
@@ -197,17 +210,18 @@ void BM_IncrementalPatch(benchmark::State& state, double update_zipf) {
 }
 
 /// The alternative discipline: every epoch materializes the live dataset
-/// and rebuilds the whole program from scratch (the compaction path).
+/// and rebuilds the whole program from scratch (the compaction path:
+/// materialize, build, flatten, tear down the previous program).
 /// Items processed = mutations absorbed, as in BM_IncrementalPatch.
-void BM_FullRebuild(benchmark::State& state) {
+void BM_FullRebuild(benchmark::State& state, SchemeKind kind) {
   const int n = static_cast<int>(state.range(0));
   const auto dataset = BenchDataset(n);
   const BucketGeometry geometry;
-  auto scheme = BuildScheme(SchemeKind::kOneM, dataset, geometry).value();
+  auto scheme = BuildScheme(kind, dataset, geometry).value();
   const Bytes epoch = scheme->channel().cycle_bytes();
   DynamicRuntime runtime;
   DynamicRuntime::Params params;
-  params.kind = SchemeKind::kOneM;
+  params.kind = kind;
   params.universe = dataset;
   params.geometry = geometry;
   params.update_rate = 4.0;
@@ -269,6 +283,10 @@ BENCHMARK_CAPTURE(BM_ProgramBuild, distributed, SchemeKind::kDistributed)
     ->Arg(34000);
 BENCHMARK_CAPTURE(BM_ProgramBuild, signature, SchemeKind::kSignature)
     ->Arg(34000);
+BENCHMARK_CAPTURE(BM_Flatten, one_m, SchemeKind::kOneM)->Arg(34000);
+BENCHMARK_CAPTURE(BM_Flatten, distributed, SchemeKind::kDistributed)
+    ->Arg(34000);
+BENCHMARK_CAPTURE(BM_Flatten, signature, SchemeKind::kSignature)->Arg(34000);
 BENCHMARK_CAPTURE(BM_ProgramRestore, one_m, SchemeKind::kOneM)->Arg(34000);
 BENCHMARK_CAPTURE(BM_ProgramRestore, distributed, SchemeKind::kDistributed)
     ->Arg(34000);
@@ -297,7 +315,11 @@ BENCHMARK(BM_FleetShard)->Arg(1000)->Arg(10000);
 BENCHMARK_CAPTURE(BM_IncrementalPatch, uniform, 0.0)->Arg(34000);
 // dynamic_churn's mutation stream: Zipf(0.7) targets over 2000 records.
 BENCHMARK_CAPTURE(BM_IncrementalPatch, zipf, 0.7)->Arg(2000);
-BENCHMARK(BM_FullRebuild)->Arg(34000);
+// The dynamic_churn cells (2000 records), plus paper scale for (1,m).
+BENCHMARK_CAPTURE(BM_FullRebuild, one_m, SchemeKind::kOneM)
+    ->Arg(2000)
+    ->Arg(34000);
+BENCHMARK_CAPTURE(BM_FullRebuild, hashing, SchemeKind::kHashing)->Arg(2000);
 
 BENCHMARK(BM_EventQueue)->Arg(1000)->Arg(100000);
 BENCHMARK_CAPTURE(BM_ZipfSample, theta_0_7, 0.7)->Arg(2000);

@@ -2,7 +2,6 @@
 
 #include <cstring>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 namespace airindex {
@@ -19,26 +18,89 @@ void CopySection(void* dst, const void* src, std::size_t bytes) {
   if (bytes > 0) std::memcpy(dst, src, bytes);
 }
 
-/// Deterministic string interner: first-touch append order, duplicates
-/// collapse to the first occurrence. The empty string is always {0, 0}.
-class StringPool {
+/// Hash of a short string, eight bytes at a time (keys are ~25 bytes).
+/// Only the interner's table placement depends on it, never the bytes
+/// Flatten writes.
+std::uint64_t HashBytes(std::string_view s) {
+  std::uint64_t h = s.size();
+  std::size_t i = 0;
+  for (; i + 8 <= s.size(); i += 8) {
+    std::uint64_t word;
+    std::memcpy(&word, s.data() + i, 8);
+    h = (h ^ word) * 0x9e3779b97f4a7c15ULL;
+    h ^= h >> 32;
+  }
+  if (i < s.size()) {
+    // Byte by byte: a variable-length memcpy would be a library call.
+    std::uint64_t word = 0;
+    for (; i < s.size(); ++i) {
+      word = (word << 8) | static_cast<unsigned char>(s[i]);
+    }
+    h = (h ^ word) * 0x9e3779b97f4a7c15ULL;
+  }
+  h = (h ^ (h >> 29)) * 0xbf58476d1ce4e5b9ULL;
+  return h ^ (h >> 32);
+}
+
+/// Deterministic, allocation-free string interner for one Flatten call:
+/// first-touch append order, duplicates collapse to the first
+/// occurrence, the empty string is always {0, 0}. A lookup hashes the
+/// caller's view in place (the source channel's bucket strings and
+/// dataset-owned pointer keys, alive for the call) and compares it
+/// against the pool bytes of a candidate with the same hash, so it never
+/// builds a string. Open addressing over (hash, index) slots; the table
+/// doubles when half full.
+class StringInterner {
  public:
+  explicit StringInterner(std::size_t pool_capacity) : slots_(1024) {
+    pool_.reserve(pool_capacity);
+  }
+
   ArenaStrRef Intern(std::string_view s) {
     if (s.empty()) return ArenaStrRef{0, 0};
-    const auto it = interned_.find(std::string(s));
-    if (it != interned_.end()) return it->second;
+    const auto hash = static_cast<std::uint32_t>(HashBytes(s));
+    std::size_t i = hash & (slots_.size() - 1);
+    for (; slots_[i].index != 0; i = (i + 1) & (slots_.size() - 1)) {
+      if (slots_[i].hash != hash) continue;
+      const ArenaStrRef ref = refs_[slots_[i].index - 1];
+      if (ref.length == s.size() &&
+          std::memcmp(pool_.data() + ref.offset, s.data(), s.size()) == 0) {
+        return ref;
+      }
+    }
     const ArenaStrRef ref{static_cast<std::uint32_t>(pool_.size()),
                           static_cast<std::uint32_t>(s.size())};
     pool_.append(s);
-    interned_.emplace(std::string(s), ref);
+    refs_.push_back(ref);
+    slots_[i] = Slot{hash, static_cast<std::uint32_t>(refs_.size())};
+    if (2 * refs_.size() > slots_.size()) Grow();
     return ref;
   }
 
+  /// The interned strings end to end, in first-touch order.
   const std::string& pool() const { return pool_; }
 
  private:
+  struct Slot {
+    std::uint32_t hash = 0;
+    std::uint32_t index = 0;  // 1 + index into refs_; 0 = empty
+  };
+
+  void Grow() {
+    std::vector<Slot> grown(2 * slots_.size());
+    const std::size_t mask = grown.size() - 1;
+    for (const Slot& slot : slots_) {
+      if (slot.index == 0) continue;
+      std::size_t i = slot.hash & mask;
+      while (grown[i].index != 0) i = (i + 1) & mask;
+      grown[i] = slot;
+    }
+    slots_ = std::move(grown);
+  }
+
+  std::vector<Slot> slots_;
+  std::vector<ArenaStrRef> refs_;  // first-touch order
   std::string pool_;
-  std::unordered_map<std::string, ArenaStrRef> interned_;
 };
 
 }  // namespace
@@ -58,38 +120,97 @@ ProgramArena ProgramArena::Flatten(const std::vector<const Channel*>& channels,
                                    std::uint64_t dataset_fingerprint,
                                    std::uint64_t params_fingerprint,
                                    const std::vector<std::int64_t>& aux) {
-  // Pass 1: flatten into growable pools (fixed traversal order: channels
-  // in order, buckets in cycle order, local entries before control
-  // entries — re-flattening an inflated arena reproduces the order, and
-  // with it the bytes).
-  std::vector<ArenaChannelDesc> descs;
-  std::vector<ArenaBucket> buckets;
-  std::vector<ArenaPointerEntry> entries;
-  std::vector<std::uint64_t> words;
-  StringPool strings;
+  // Counting pass: exact bucket, entry and word counts, and the string
+  // bytes before deduplication — an upper bound on the string pool.
+  std::size_t num_buckets = 0;
+  std::size_t num_entries = 0;
+  std::size_t num_words = 0;
+  std::size_t string_bytes = 0;
+  for (const Channel* channel : channels) {
+    num_buckets += channel->num_buckets();
+    for (const Bucket& b : channel->buckets()) {
+      num_entries += b.local.size() + b.control.size();
+      num_words += b.signature.size();
+      string_bytes +=
+          b.range_lo.size() + b.range_hi.size() + b.last_broadcast_key.size();
+      for (const auto* source : {&b.local, &b.control}) {
+        for (const PointerEntry& e : *source) {
+          string_bytes += e.key_lo.size() + e.key_hi.size();
+        }
+      }
+    }
+  }
 
-  const auto intern_entries =
-      [&](const std::vector<PointerEntry>& source) -> std::pair<std::uint32_t,
-                                                                std::uint32_t> {
-    const auto first = static_cast<std::uint32_t>(entries.size());
+  ArenaHeader header;
+  header.magic = kMagic;
+  header.format_version = kFormatVersion;
+  header.scheme_kind = scheme_kind;
+  header.num_channels = static_cast<std::uint32_t>(channels.size());
+  header.switch_cost_bytes = switch_cost_bytes;
+  header.dataset_fingerprint = dataset_fingerprint;
+  header.params_fingerprint = params_fingerprint;
+
+  std::size_t at = sizeof(ArenaHeader);
+  header.channels_offset = static_cast<std::uint32_t>(at);
+  at = AlignUp(at + channels.size() * sizeof(ArenaChannelDesc));
+  header.buckets_offset = static_cast<std::uint32_t>(at);
+  header.num_buckets = static_cast<std::uint32_t>(num_buckets);
+  at = AlignUp(at + num_buckets * sizeof(ArenaBucket));
+  header.entries_offset = static_cast<std::uint32_t>(at);
+  header.num_entries = static_cast<std::uint32_t>(num_entries);
+  at = AlignUp(at + num_entries * sizeof(ArenaPointerEntry));
+  header.words_offset = static_cast<std::uint32_t>(at);
+  header.num_words = static_cast<std::uint32_t>(num_words);
+  at = AlignUp(at + num_words * sizeof(std::uint64_t));
+  header.strings_offset = static_cast<std::uint32_t>(at);
+
+  // The buffer's capacity covers the largest possible string pool, so
+  // growing it to the final size below never moves the sections already
+  // written (the unused tail is address space, never touched).
+  ProgramArena arena;
+  arena.bytes_.reserve(at + AlignUp(string_bytes) +
+                       aux.size() * sizeof(std::int64_t));
+  arena.bytes_.resize(at);  // alignment pads stay zero — determinism
+  std::uint8_t* base = arena.bytes_.data();
+
+  // Write pass, in a fixed traversal order: channels in order, buckets
+  // in cycle order; per bucket range_lo, range_hi, last_broadcast_key,
+  // then local entries before control entries (key_lo, key_hi each).
+  // The interner hands out string refs in that order, so re-flattening
+  // an inflated arena reproduces the pool, and with it the bytes. Every
+  // bucket, entry and word is written once, at its final offset.
+  StringInterner strings(string_bytes);
+  std::uint8_t* desc_out = base + header.channels_offset;
+  std::uint8_t* bucket_out = base + header.buckets_offset;
+  std::uint8_t* entry_out = base + header.entries_offset;
+  std::uint8_t* word_out = base + header.words_offset;
+  std::uint32_t bucket_index = 0;
+  std::uint32_t entry_index = 0;
+  std::uint32_t word_index = 0;
+
+  const auto write_entries =
+      [&](const std::vector<PointerEntry>& source) -> std::uint32_t {
+    const std::uint32_t first = entry_index;
     for (const PointerEntry& e : source) {
       ArenaPointerEntry flat;
       flat.key_lo = strings.Intern(e.key_lo);
       flat.key_hi = strings.Intern(e.key_hi);
       flat.target_phase = e.target_phase;
       flat.target_channel = e.target_channel;
-      entries.push_back(flat);
+      std::memcpy(entry_out, &flat, sizeof(flat));
+      entry_out += sizeof(flat);
+      ++entry_index;
     }
-    return {first, static_cast<std::uint32_t>(source.size())};
+    return first;
   };
 
   for (const Channel* channel : channels) {
     ArenaChannelDesc desc;
-    desc.first_bucket = static_cast<std::uint32_t>(buckets.size());
+    desc.first_bucket = bucket_index;
     desc.bucket_count = static_cast<std::uint32_t>(channel->num_buckets());
-    descs.push_back(desc);
-    for (std::size_t i = 0; i < channel->num_buckets(); ++i) {
-      const Bucket& b = channel->bucket(i);
+    std::memcpy(desc_out, &desc, sizeof(desc));
+    desc_out += sizeof(desc);
+    for (const Bucket& b : channel->buckets()) {
       ArenaBucket flat;
       flat.size = b.size;
       flat.record_id = b.record_id;
@@ -100,61 +221,34 @@ ProgramArena ProgramArena::Flatten(const std::vector<const Channel*>& channels,
       flat.range_lo = strings.Intern(b.range_lo);
       flat.range_hi = strings.Intern(b.range_hi);
       flat.last_broadcast_key = strings.Intern(b.last_broadcast_key);
-      std::tie(flat.local_first, flat.local_count) = intern_entries(b.local);
-      std::tie(flat.control_first, flat.control_count) =
-          intern_entries(b.control);
-      flat.signature_first = static_cast<std::uint32_t>(words.size());
+      flat.local_first = write_entries(b.local);
+      flat.local_count = static_cast<std::uint32_t>(b.local.size());
+      flat.control_first = write_entries(b.control);
+      flat.control_count = static_cast<std::uint32_t>(b.control.size());
+      flat.signature_first = word_index;
       flat.signature_count = static_cast<std::uint32_t>(b.signature.size());
-      words.insert(words.end(), b.signature.begin(), b.signature.end());
+      CopySection(word_out, b.signature.data(),
+                  b.signature.size() * sizeof(std::uint64_t));
+      word_out += b.signature.size() * sizeof(std::uint64_t);
+      word_index += flat.signature_count;
       flat.level = b.level;
       flat.kind = static_cast<std::uint8_t>(b.kind);
-      buckets.push_back(flat);
+      std::memcpy(bucket_out, &flat, sizeof(flat));
+      bucket_out += sizeof(flat);
+      ++bucket_index;
     }
   }
 
-  // Pass 2: lay the sections out in one buffer.
-  ArenaHeader header;
-  header.magic = kMagic;
-  header.format_version = kFormatVersion;
-  header.scheme_kind = scheme_kind;
-  header.num_channels = static_cast<std::uint32_t>(descs.size());
-  header.switch_cost_bytes = switch_cost_bytes;
-  header.dataset_fingerprint = dataset_fingerprint;
-  header.params_fingerprint = params_fingerprint;
-
-  std::size_t at = sizeof(ArenaHeader);
-  header.channels_offset = static_cast<std::uint32_t>(at);
-  at = AlignUp(at + descs.size() * sizeof(ArenaChannelDesc));
-  header.buckets_offset = static_cast<std::uint32_t>(at);
-  header.num_buckets = static_cast<std::uint32_t>(buckets.size());
-  at = AlignUp(at + buckets.size() * sizeof(ArenaBucket));
-  header.entries_offset = static_cast<std::uint32_t>(at);
-  header.num_entries = static_cast<std::uint32_t>(entries.size());
-  at = AlignUp(at + entries.size() * sizeof(ArenaPointerEntry));
-  header.words_offset = static_cast<std::uint32_t>(at);
-  header.num_words = static_cast<std::uint32_t>(words.size());
-  at = AlignUp(at + words.size() * sizeof(std::uint64_t));
-  header.strings_offset = static_cast<std::uint32_t>(at);
-  header.string_pool_bytes =
-      static_cast<std::uint32_t>(strings.pool().size());
+  // The pool's size is known now; the aux section follows it.
+  header.string_pool_bytes = static_cast<std::uint32_t>(strings.pool().size());
   at = AlignUp(at + strings.pool().size());
   header.aux_offset = static_cast<std::uint32_t>(at);
   header.num_aux = static_cast<std::uint32_t>(aux.size());
   at = AlignUp(at + aux.size() * sizeof(std::int64_t));
   header.total_bytes = static_cast<std::uint32_t>(at);
-
-  ProgramArena arena;
-  arena.bytes_.assign(at, 0);  // alignment pads stay zero — determinism
-  std::uint8_t* base = arena.bytes_.data();
+  arena.bytes_.resize(at);  // within capacity: no reallocation
+  base = arena.bytes_.data();
   std::memcpy(base, &header, sizeof(header));
-  CopySection(base + header.channels_offset, descs.data(),
-              descs.size() * sizeof(ArenaChannelDesc));
-  CopySection(base + header.buckets_offset, buckets.data(),
-              buckets.size() * sizeof(ArenaBucket));
-  CopySection(base + header.entries_offset, entries.data(),
-              entries.size() * sizeof(ArenaPointerEntry));
-  CopySection(base + header.words_offset, words.data(),
-              words.size() * sizeof(std::uint64_t));
   CopySection(base + header.strings_offset, strings.pool().data(),
               strings.pool().size());
   CopySection(base + header.aux_offset, aux.data(),

@@ -28,16 +28,21 @@ std::string PseudoWord(std::uint64_t h, int width) {
   return out;
 }
 
+// Writes EncodeKey(code, width) into out[0, width); the caller has
+// checked that the width can represent the code.
+void WriteKey(std::uint64_t code, int width, char* out) {
+  for (int i = width - 1; i >= 0; --i) {
+    out[i] = static_cast<char>('a' + static_cast<int>(code % 26));
+    code /= 26;
+  }
+}
+
 }  // namespace
 
 std::string EncodeKey(std::uint64_t code, int width) {
   if (width <= 0 || code > MaxCode(width)) return std::string();
   std::string out(static_cast<std::size_t>(width), 'a');
-  for (int i = width - 1; i >= 0 && code > 0; --i) {
-    out[static_cast<std::size_t>(i)] =
-        static_cast<char>('a' + static_cast<int>(code % 26));
-    code /= 26;
-  }
+  WriteKey(code, width, out.data());
   return out;
 }
 
@@ -84,8 +89,12 @@ Result<Dataset> Dataset::FromRecords(std::vector<Record> records) {
   if (records.empty()) {
     return Status::InvalidArgument("FromRecords needs at least one record");
   }
-  std::sort(records.begin(), records.end(),
-            [](const Record& a, const Record& b) { return a.key < b.key; });
+  const auto by_key = [](const Record& a, const Record& b) {
+    return a.key < b.key;
+  };
+  if (!std::is_sorted(records.begin(), records.end(), by_key)) {
+    std::sort(records.begin(), records.end(), by_key);
+  }
   int max_key_width = 0;
   std::size_t max_attributes = 0;
   for (std::size_t i = 0; i < records.size(); ++i) {
@@ -140,9 +149,7 @@ std::vector<int> Dataset::FindByAttribute(std::string_view value) const {
 }
 
 std::string Dataset::AbsentKey(int i) const {
-  if (i >= 0 && i <= size()) {
-    return absent_keys_[static_cast<std::size_t>(i)];
-  }
+  if (i >= 0 && i <= size()) return std::string(absent_key(i));
   if (synthetic_) {
     return EncodeKey(2 * static_cast<std::uint64_t>(i), config_.key_width);
   }
@@ -153,18 +160,32 @@ std::string Dataset::AbsentKey(int i) const {
 }
 
 void Dataset::InternAbsentKeys() {
-  absent_keys_.reserve(records_.size() + 1);
-  for (int i = 0; i <= size(); ++i) {
-    if (synthetic_) {
-      absent_keys_.push_back(
-          EncodeKey(2 * static_cast<std::uint64_t>(i), config_.key_width));
-    } else if (i == 0) {
-      absent_keys_.push_back("!");
-    } else {
-      absent_keys_.push_back(records_[static_cast<std::size_t>(i - 1)].key +
-                             "!");
+  const std::size_t n = records_.size();
+  absent_offsets_.reserve(n + 2);
+  if (synthetic_) {
+    // The even codes 0, 2, ..., 2n, all key_width wide (Generate checked
+    // that the width represents 2n).
+    const auto width = static_cast<std::size_t>(config_.key_width);
+    absent_pool_.assign((n + 1) * width, 'a');
+    for (std::size_t i = 0; i <= n; ++i) {
+      absent_offsets_.push_back(i * width);
+      WriteKey(2 * static_cast<std::uint64_t>(i), config_.key_width,
+               &absent_pool_[i * width]);
+    }
+  } else {
+    // "!", then key[i-1] + "!" for i in [1, n].
+    std::size_t bytes = 1;
+    for (const Record& record : records_) bytes += record.key.size() + 1;
+    absent_pool_.reserve(bytes);
+    absent_offsets_.push_back(0);
+    absent_pool_ += '!';
+    for (const Record& record : records_) {
+      absent_offsets_.push_back(absent_pool_.size());
+      absent_pool_ += record.key;
+      absent_pool_ += '!';
     }
   }
+  absent_offsets_.push_back(absent_pool_.size());
 }
 
 }  // namespace airindex

@@ -49,10 +49,11 @@ class Dataset {
   static Result<Dataset> Generate(const DatasetConfig& config);
 
   /// Wraps externally supplied records (the paper's "information is read
-  /// from files or databases"). Records are sorted by key and re-ids
-  /// assigned in key order. Fails when empty, when keys repeat, or when
-  /// a key is empty or contains characters at or below '!' (reserved for
-  /// synthesizing guaranteed-absent probe keys).
+  /// from files or databases"). Records are sorted by key (skipped when
+  /// they already are, as compaction's live records always are) and
+  /// re-ids assigned in key order. Fails when empty, when keys repeat, or
+  /// when a key is empty or contains characters at or below '!' (reserved
+  /// for synthesizing guaranteed-absent probe keys).
   static Result<Dataset> FromRecords(std::vector<Record> records);
 
   Dataset(const Dataset&) = default;
@@ -88,7 +89,9 @@ class Dataset {
   /// RequestGenerator hands the view to Query without allocating. The
   /// view lives as long as this Dataset instance.
   std::string_view absent_key(int i) const {
-    return absent_keys_[static_cast<std::size_t>(i)];
+    const std::size_t begin = absent_offsets_[static_cast<std::size_t>(i)];
+    const std::size_t end = absent_offsets_[static_cast<std::size_t>(i) + 1];
+    return std::string_view(absent_pool_.data() + begin, end - begin);
   }
 
   /// Smallest and largest present key.
@@ -105,13 +108,18 @@ class Dataset {
  private:
   explicit Dataset(DatasetConfig config) : config_(config) {}
 
-  /// Fills absent_keys_ once records_ is final (both factories call it).
+  /// Fills the absent-key table once records_ is final (both factories
+  /// call it).
   void InternAbsentKeys();
 
   DatasetConfig config_;
   std::vector<Record> records_;
-  /// Precomputed AbsentKey(0..size()) so the hot path never allocates.
-  std::vector<std::string> absent_keys_;
+  /// Precomputed AbsentKey(0..size()) so the hot path never allocates:
+  /// key i is absent_pool_[absent_offsets_[i], absent_offsets_[i + 1]).
+  /// One contiguous buffer instead of size() + 1 heap strings; offsets,
+  /// not views, so copies of the dataset stay self-contained.
+  std::string absent_pool_;
+  std::vector<std::size_t> absent_offsets_;
   bool synthetic_ = true;
 };
 

@@ -7,8 +7,14 @@ namespace airindex {
 
 /// Mixes a 64-bit value into a well-distributed 64-bit hash (splitmix64
 /// finalizer). Used both for seeding and as the hash function of the
-/// simple-hashing scheme.
-std::uint64_t Mix64(std::uint64_t x);
+/// simple-hashing scheme. Inline: dataset generation and compaction's
+/// attribute rewrite call it once per output character.
+inline std::uint64_t Mix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
 
 /// Seed of replication `replication_id` under `master_seed`:
 ///

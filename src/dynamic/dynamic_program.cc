@@ -1,8 +1,10 @@
 // Layer: 4 (dynamic) — see docs/ARCHITECTURE.md for the layer map.
 #include "dynamic/dynamic_program.h"
 
+#include <algorithm>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "data/record.h"
 #include "des/random.h"
@@ -11,25 +13,47 @@ namespace airindex {
 
 namespace {
 
-/// Deterministic mutated attribute value: same width as the original,
-/// lowercase letters, derived from (original value, record version).
-/// Version 0 is the original; any later version produces a different
-/// string, which is what makes a mutated dataset change its content
-/// fingerprint (core/program_cache.h, DatasetFingerprint).
-std::string MutatedAttribute(const std::string& attribute,
-                             std::int64_t version) {
-  if (version == 0) return attribute;
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : attribute) {
-    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
+/// Rewrites a record's attributes in place into their deterministic
+/// mutated values: same width, lowercase letters, each derived from
+/// (original value, record version). Version 0 is the original and
+/// leaves them untouched; any later version produces different strings,
+/// which is what makes a mutated dataset change its content fingerprint
+/// (core/program_cache.h, DatasetFingerprint).
+///
+/// Each attribute is one serial chain — FNV-1a over the original, then
+/// one Mix64 per output character — so a single chain waits on every
+/// multiply. The chains of different attributes are independent and
+/// advance kLanes at a time.
+void MutateAttributes(std::int64_t version,
+                      std::vector<std::string>* attributes) {
+  if (version == 0) return;
+  constexpr std::size_t kLanes = 4;
+  const std::uint64_t salt =
+      static_cast<std::uint64_t>(version) * 0x9e3779b97f4a7c15ULL;
+  for (std::size_t first = 0; first < attributes->size(); first += kLanes) {
+    std::uint64_t h[kLanes] = {};
+    char* out[kLanes] = {};
+    std::size_t width[kLanes] = {};
+    std::size_t max_width = 0;
+    for (std::size_t l = 0; l < kLanes && first + l < attributes->size();
+         ++l) {
+      std::string& attribute = (*attributes)[first + l];
+      std::uint64_t x = 0xcbf29ce484222325ULL;
+      for (const char c : attribute) {
+        x = (x ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
+      }
+      h[l] = x ^ salt;
+      out[l] = attribute.data();
+      width[l] = attribute.size();
+      max_width = std::max(max_width, width[l]);
+    }
+    for (std::size_t c = 0; c < max_width; ++c) {
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        h[l] = Mix64(h[l]);  // lanes past their width churn unused
+        if (c < width[l]) out[l][c] = static_cast<char>('a' + (h[l] % 26));
+      }
+    }
   }
-  h ^= static_cast<std::uint64_t>(version) * 0x9e3779b97f4a7c15ULL;
-  std::string out(attribute.size(), 'a');
-  for (char& c : out) {
-    h = Mix64(h);
-    c = static_cast<char>('a' + (h % 26));
-  }
-  return out;
 }
 
 }  // namespace
@@ -207,20 +231,15 @@ Result<std::shared_ptr<const Dataset>> DynamicRuntime::MaterializeDataset()
   if (!active_) {
     return Status::FailedPrecondition("dynamic runtime is inactive");
   }
+  // One pass in universe (key) order: copy each live record and rewrite
+  // its attributes in place. The output is already sorted, so
+  // FromRecords only validates it and assigns the dense ids.
   std::vector<Record> records;
   records.reserve(static_cast<std::size_t>(log_->live_count()));
   for (int r = 0; r < universe_->size(); ++r) {
     if (!log_->live(r)) continue;
-    const Record& original = universe_->record(r);
-    Record record;
-    record.id = static_cast<std::uint64_t>(records.size());
-    record.key = original.key;
-    record.attributes.reserve(original.attributes.size());
-    const std::int64_t version = log_->version(r);
-    for (const std::string& attribute : original.attributes) {
-      record.attributes.push_back(MutatedAttribute(attribute, version));
-    }
-    records.push_back(std::move(record));
+    Record& record = records.emplace_back(universe_->record(r));
+    MutateAttributes(log_->version(r), &record.attributes);
   }
   Result<Dataset> dataset = Dataset::FromRecords(std::move(records));
   if (!dataset.ok()) return dataset.status();

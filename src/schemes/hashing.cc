@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -41,12 +42,25 @@ Result<SimpleHashing> SimpleHashing::Build(
   const int allocated = std::max(
       1, static_cast<int>(std::lround(allocation_factor * num_records)));
 
-  // Group records by slot, preserving key order within a slot.
-  std::vector<std::vector<int>> slots(static_cast<std::size_t>(allocated));
-  for (const Record& record : dataset->records()) {
-    const auto slot = static_cast<std::size_t>(
-        HashString(record.key) % static_cast<std::uint64_t>(allocated));
-    slots[slot].push_back(static_cast<int>(record.id));
+  // Group records by slot, preserving key order within a slot: a
+  // counting sort into one flat array, slot s's records at
+  // by_slot[slot_first[s], slot_first[s + 1]).
+  std::vector<std::size_t> slot_of(static_cast<std::size_t>(num_records));
+  std::vector<int> slot_first(static_cast<std::size_t>(allocated) + 1, 0);
+  for (int id = 0; id < num_records; ++id) {
+    const std::size_t slot = HashString(dataset->record(id).key) %
+                             static_cast<std::uint64_t>(allocated);
+    slot_of[static_cast<std::size_t>(id)] = slot;
+    ++slot_first[slot + 1];
+  }
+  const auto empty_slots =
+      std::count(slot_first.begin() + 1, slot_first.end(), 0);
+  std::partial_sum(slot_first.begin(), slot_first.end(), slot_first.begin());
+  std::vector<int> by_slot(static_cast<std::size_t>(num_records));
+  std::vector<int> fill(slot_first.begin(), slot_first.end() - 1);
+  for (int id = 0; id < num_records; ++id) {
+    by_slot[static_cast<std::size_t>(
+        fill[slot_of[static_cast<std::size_t>(id)]]++)] = id;
   }
 
   // Lay out: per slot, the home bucket (first record, or empty) followed
@@ -55,21 +69,21 @@ Result<SimpleHashing> SimpleHashing::Build(
   // the chain start home_pos(i) = i + displaced records of slots < i.
   const Bytes bucket_bytes = geometry.data_bucket_bytes();
   std::vector<Bucket> buckets;
+  buckets.reserve(static_cast<std::size_t>(num_records + empty_slots));
   std::vector<Bytes> chain_start_phase(static_cast<std::size_t>(allocated));
   for (int slot = 0; slot < allocated; ++slot) {
-    chain_start_phase[static_cast<std::size_t>(slot)] =
-        static_cast<Bytes>(buckets.size()) * bucket_bytes;
-    const std::vector<int>& records = slots[static_cast<std::size_t>(slot)];
-    const std::size_t emitted = std::max<std::size_t>(records.size(), 1);
-    for (std::size_t i = 0; i < emitted; ++i) {
-      Bucket bucket;
+    const auto s = static_cast<std::size_t>(slot);
+    chain_start_phase[s] = static_cast<Bytes>(buckets.size()) * bucket_bytes;
+    const int first = slot_first[s];
+    const int count = slot_first[s + 1] - first;
+    for (int i = 0; i < std::max(count, 1); ++i) {
+      Bucket& bucket = buckets.emplace_back();
       bucket.kind = BucketKind::kData;
       bucket.size = bucket_bytes;
-      if (i < records.size()) {
-        bucket.record_id = records[i];
+      if (i < count) {
+        bucket.record_id = by_slot[static_cast<std::size_t>(first + i)];
         bucket.hash_value = slot;
       }
-      buckets.push_back(std::move(bucket));
     }
   }
   // Fill the control parts positionally.

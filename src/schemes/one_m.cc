@@ -44,24 +44,22 @@ Result<OneMIndexing> OneMIndexing::Build(std::shared_ptr<const Dataset> dataset,
   std::vector<Slot> layout;
   std::vector<Bytes> segment_start_phase(static_cast<std::size_t>(m), 0);
   std::vector<Bytes> record_phase(static_cast<std::size_t>(num_records), 0);
-  // (segment, node preorder position) -> phase of that index bucket.
-  std::vector<std::vector<Bytes>> node_phase(
-      static_cast<std::size_t>(m),
-      std::vector<Bytes>(tree.nodes().size(), kInvalidPhase));
-  // Node id -> position in preorder (for phase lookup).
-  std::vector<int> preorder_pos(tree.nodes().size(), -1);
-  for (std::size_t i = 0; i < preorder.size(); ++i) {
-    preorder_pos[static_cast<std::size_t>(preorder[i])] = static_cast<int>(i);
-  }
+  // Phase of node `id`'s index bucket in `segment`, one flat array:
+  // node_phase[segment * num_nodes + id].
+  const std::size_t num_nodes = tree.nodes().size();
+  std::vector<Bytes> node_phase(static_cast<std::size_t>(m) * num_nodes,
+                                kInvalidPhase);
+  layout.reserve(static_cast<std::size_t>(m) * preorder.size() +
+                 static_cast<std::size_t>(num_records));
 
   int next_record = 0;
   for (int segment = 0; segment < m; ++segment) {
     segment_start_phase[static_cast<std::size_t>(segment)] =
         static_cast<Bytes>(layout.size()) * bucket_bytes;
     for (const int node_id : preorder) {
-      node_phase[static_cast<std::size_t>(segment)]
-                [static_cast<std::size_t>(node_id)] =
-                    static_cast<Bytes>(layout.size()) * bucket_bytes;
+      node_phase[static_cast<std::size_t>(segment) * num_nodes +
+                 static_cast<std::size_t>(node_id)] =
+          static_cast<Bytes>(layout.size()) * bucket_bytes;
       layout.push_back(Slot{true, node_id, -1, segment});
     }
     // Balanced split: segment s holds records [s*Nr/m, (s+1)*Nr/m).
@@ -105,8 +103,8 @@ Result<OneMIndexing> OneMIndexing::Build(std::shared_ptr<const Dataset> dataset,
         entry.key_lo = dataset->record(child_node.first_record).key;
         entry.key_hi = dataset->record(child_node.last_record).key;
         entry.target_phase =
-            node_phase[static_cast<std::size_t>(slot.segment)]
-                      [static_cast<std::size_t>(child)];
+            node_phase[static_cast<std::size_t>(slot.segment) * num_nodes +
+                       static_cast<std::size_t>(child)];
       }
       bucket.local.push_back(std::move(entry));
     }

@@ -1,7 +1,10 @@
 // Unit tests for the synthetic dictionary data source.
 
+#include <algorithm>
+#include <random>
 #include <set>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -126,6 +129,62 @@ TEST(Dataset, PaperScaleGenerates) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().size(), 34000);
   EXPECT_LT(result.value().min_key(), result.value().max_key());
+}
+
+// FromRecords skips its sort when the input is already in key order
+// (compaction's live records always are). Both paths must yield the
+// same dataset — records, ids, config and every interned absent key —
+// and both must refuse a repeated key.
+TEST(Dataset, FromRecordsSortedEqualsShuffled) {
+  std::vector<Record> sorted;
+  for (int i = 0; i < 40; ++i) {
+    Record record;
+    // Mixed widths: "k0".."k9", then "k10".., and a few longer keys.
+    const std::string n = std::to_string(i);
+    record.key = std::string("k").append(n).append(i % 7 == 0 ? "tail" : "");
+    record.attributes = {std::string("a").append(n),
+                         std::string("b").append(std::to_string(i % 3))};
+    sorted.push_back(std::move(record));
+  }
+  std::sort(sorted.begin(), sorted.end(),
+            [](const Record& a, const Record& b) { return a.key < b.key; });
+  std::vector<Record> shuffled = sorted;
+  std::shuffle(shuffled.begin(), shuffled.end(), std::mt19937(7));
+  ASSERT_FALSE(std::is_sorted(
+      shuffled.begin(), shuffled.end(),
+      [](const Record& a, const Record& b) { return a.key < b.key; }));
+
+  const Dataset a = Dataset::FromRecords(sorted).value();
+  const Dataset b = Dataset::FromRecords(shuffled).value();
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_EQ(a.config().key_width, b.config().key_width);
+  EXPECT_EQ(a.config().num_attributes, b.config().num_attributes);
+  for (int i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a.record(i).id, static_cast<std::uint64_t>(i));
+    EXPECT_EQ(b.record(i).id, static_cast<std::uint64_t>(i));
+    EXPECT_EQ(a.record(i).key, b.record(i).key);
+    EXPECT_EQ(a.record(i).attributes, b.record(i).attributes);
+  }
+  EXPECT_EQ(a.absent_key(0), "!");
+  for (int i = 0; i <= a.size(); ++i) {
+    EXPECT_EQ(a.absent_key(i), b.absent_key(i)) << i;
+    EXPECT_EQ(a.AbsentKey(i), std::string(a.absent_key(i)));
+    if (i > 0) {
+      EXPECT_EQ(a.absent_key(i), a.record(i - 1).key + "!");
+    }
+  }
+
+  // A copy owns its absent-key table: same keys, separate storage.
+  const Dataset copy = a;
+  EXPECT_EQ(copy.absent_key(5), a.absent_key(5));
+  EXPECT_NE(copy.absent_key(5).data(), a.absent_key(5).data());
+
+  std::vector<Record> sorted_duplicate = sorted;
+  sorted_duplicate.insert(sorted_duplicate.begin() + 10, sorted[10]);
+  EXPECT_FALSE(Dataset::FromRecords(sorted_duplicate).ok());
+  std::vector<Record> shuffled_duplicate = shuffled;
+  shuffled_duplicate.push_back(shuffled.front());
+  EXPECT_FALSE(Dataset::FromRecords(shuffled_duplicate).ok());
 }
 
 }  // namespace

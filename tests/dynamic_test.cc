@@ -25,7 +25,10 @@
 //      program-cache hits);
 //  D9. the validator rejects configurations the dynamic layer cannot
 //      compose with (multichannel, scheduler, lossy channel), and NaN
-//      or infinite numbers in any field.
+//      or infinite numbers in any field;
+//  D10. MaterializeDataset equals a per-record reference rebuild of the
+//      live dataset, and a failed compaction leaves the live program,
+//      its answers and the cycle accounting intact.
 
 #include <cmath>
 #include <memory>
@@ -504,6 +507,184 @@ TEST(DynamicSimTest, ValidatorRejectsNonFiniteNumbers) {
       c.params.schedule.scheduler = SchedulerKind::kSquareRoot;
       c.params.schedule.theta = v;
     }));
+  }
+}
+
+// D10: the reference materialization — a fresh Record per live universe
+// record, every attribute rebuilt from its original value and version,
+// then FromRecords. MaterializeDataset must reproduce it exactly.
+std::string ReferenceMutatedAttribute(const std::string& attribute,
+                                      std::int64_t version) {
+  if (version == 0) return attribute;
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : attribute) {
+    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
+  }
+  h ^= static_cast<std::uint64_t>(version) * 0x9e3779b97f4a7c15ULL;
+  std::string out(attribute.size(), 'a');
+  for (char& c : out) {
+    h = Mix64(h);
+    c = static_cast<char>('a' + (h % 26));
+  }
+  return out;
+}
+
+Dataset ReferenceMaterialize(const Dataset& universe, const MutationLog& log) {
+  std::vector<Record> records;
+  for (int r = 0; r < universe.size(); ++r) {
+    if (!log.live(r)) continue;
+    const Record& original = universe.record(r);
+    Record record;
+    record.id = static_cast<std::uint64_t>(records.size());
+    record.key = original.key;
+    for (const std::string& attribute : original.attributes) {
+      record.attributes.push_back(
+          ReferenceMutatedAttribute(attribute, log.version(r)));
+    }
+    records.push_back(std::move(record));
+  }
+  return Dataset::FromRecords(std::move(records)).value();
+}
+
+// A universe whose records carry 5 attributes of widths 3, 5, 7, 9 and
+// 11: attribute counts that do not fill the rewrite's lanes, and lanes
+// of unequal width (the generated universe has 8 equal-width ones).
+std::shared_ptr<const Dataset> MixedWidthUniverse(int num_records) {
+  const auto generated = MakeUniverse(num_records);
+  std::vector<Record> records;
+  for (const Record& original : generated->records()) {
+    Record record;
+    record.key = original.key;
+    for (std::size_t a = 0; a < 5; ++a) {
+      record.attributes.push_back(original.key.substr(a, 3 + 2 * a));
+    }
+    records.push_back(std::move(record));
+  }
+  return std::make_shared<const Dataset>(
+      Dataset::FromRecords(std::move(records)).value());
+}
+
+TEST(DynamicTest, MaterializeMatchesReference) {
+  const BucketGeometry geometry;
+  for (const auto& universe : {MakeUniverse(300), MixedWidthUniverse(300)}) {
+    auto base = BuildScheme(SchemeKind::kHashing, universe, geometry).value();
+    const Bytes epoch = base->channel().cycle_bytes();
+    for (const double zipf : {0.0, 0.7}) {
+      DynamicRuntime runtime;
+      DynamicRuntime::Params p;
+      p.kind = SchemeKind::kHashing;
+      p.universe = universe;
+      p.geometry = geometry;
+      p.update_rate = 1.5;
+      p.update_zipf = zipf;
+      p.seed = 0x3a7eULL;
+      p.epoch_bytes = epoch;
+      p.base_scheme = base.get();
+      ASSERT_TRUE(runtime.Start(std::move(p)).ok());
+      for (const int epochs : {1, 4, 9}) {
+        SCOPED_TRACE(std::to_string(universe->config().num_attributes) +
+                     " attributes, zipf " + std::to_string(zipf) + ", " +
+                     std::to_string(epochs) + " epochs");
+        runtime.AdvanceTo(epochs * epoch + 1);
+        ASSERT_EQ(runtime.log().epochs(), epochs);
+        auto materialized = runtime.MaterializeDataset();
+        ASSERT_TRUE(materialized.ok()) << materialized.status().ToString();
+        const Dataset& got = *materialized.value();
+        const Dataset want = ReferenceMaterialize(*universe, runtime.log());
+        ASSERT_EQ(got.size(), want.size());
+        ASSERT_EQ(got.size(), runtime.log().live_count());
+        for (int i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got.record(i).id, want.record(i).id);
+          EXPECT_EQ(got.record(i).key, want.record(i).key);
+          EXPECT_EQ(got.record(i).attributes, want.record(i).attributes);
+        }
+        for (int i = 0; i <= got.size(); ++i) {
+          EXPECT_EQ(got.absent_key(i), want.absent_key(i)) << i;
+        }
+        EXPECT_EQ(DatasetFingerprint(got), DatasetFingerprint(want));
+      }
+      EXPECT_GT(runtime.counters().updates, 0);
+    }
+  }
+}
+
+// D10: a rebuild that fails keeps the previous live program in place —
+// same object, same answers — counts the failure, and books its epoch
+// as patched; a later successful rebuild compacts as usual.
+TEST(DynamicTest, FailedCompactionKeepsLiveProgram) {
+  const auto universe = MakeUniverse(80);
+  const BucketGeometry geometry;
+  auto base = BuildScheme(SchemeKind::kOneM, universe, geometry).value();
+  const Bytes epoch = base->channel().cycle_bytes();
+  auto fail = std::make_shared<bool>(true);
+
+  DynamicRuntime runtime;
+  DynamicRuntime::Params p;
+  p.kind = SchemeKind::kOneM;
+  p.universe = universe;
+  p.geometry = geometry;
+  p.update_rate = 1.0;
+  p.compact_every = 3;
+  p.seed = 0xfa11ULL;
+  p.epoch_bytes = epoch;
+  p.base_scheme = base.get();
+  p.builder = [fail](SchemeKind kind, std::shared_ptr<const Dataset> dataset,
+                     const BucketGeometry& g, const SchemeParams& params)
+      -> Result<std::unique_ptr<BroadcastScheme>> {
+    if (*fail) return Status::Internal("injected build failure");
+    return BuildScheme(kind, std::move(dataset), g, params);
+  };
+  ASSERT_TRUE(runtime.Start(std::move(p)).ok());
+
+  const Bytes now = epoch + 1;
+  runtime.AdvanceTo(now);
+  const BroadcastScheme* live = &runtime.live_scheme();
+  EXPECT_EQ(live, base.get());
+  const auto answers = [&] {
+    std::vector<AccessResult> results;
+    for (int i = 0; i < universe->size(); ++i) {
+      results.push_back(
+          runtime.Access(universe->record(i).key, now + 37 * i % (epoch - 1)));
+    }
+    return results;
+  };
+  const std::vector<AccessResult> before = answers();
+
+  EXPECT_FALSE(runtime.ForceCompact());
+  EXPECT_EQ(runtime.compaction_failures(), 1);
+  EXPECT_EQ(&runtime.live_scheme(), live);
+  const std::vector<AccessResult> after = answers();
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    SCOPED_TRACE("record " + std::to_string(i));
+    EXPECT_EQ(after[i].found, before[i].found);
+    EXPECT_EQ(after[i].access_time, before[i].access_time);
+    EXPECT_EQ(after[i].tuning_time, before[i].tuning_time);
+    EXPECT_EQ(after[i].probes, before[i].probes);
+  }
+
+  // The periodic compaction at epoch 3 fails too: that epoch is patched.
+  runtime.AdvanceTo(3 * epoch + 1);
+  EXPECT_EQ(runtime.compaction_failures(), 2);
+  EXPECT_EQ(&runtime.live_scheme(), live);
+  EXPECT_EQ(runtime.counters().cycles, 3);
+  EXPECT_EQ(runtime.counters().patched_cycles, 3);
+  EXPECT_EQ(runtime.counters().rebuilt_cycles, 0);
+  ExpectCounterIdentities(runtime.counters());
+
+  // Once the builder succeeds, both the forced and the periodic path
+  // compact.
+  *fail = false;
+  EXPECT_TRUE(runtime.ForceCompact());
+  EXPECT_NE(&runtime.live_scheme(), live);
+  runtime.AdvanceTo(6 * epoch + 1);
+  EXPECT_EQ(runtime.compaction_failures(), 2);
+  EXPECT_EQ(runtime.counters().cycles, 6);
+  EXPECT_EQ(runtime.counters().rebuilt_cycles, 1);
+  EXPECT_EQ(runtime.counters().patched_cycles, 5);
+  ExpectCounterIdentities(runtime.counters());
+  for (int i = 0; i < universe->size(); ++i) {
+    EXPECT_EQ(runtime.Access(universe->record(i).key, 6 * epoch + 1).found,
+              runtime.log().live(i));
   }
 }
 

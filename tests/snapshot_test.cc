@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <utility>
@@ -23,6 +24,7 @@
 #include "broadcast/snapshot.h"
 #include "core/program_cache.h"
 #include "data/dataset.h"
+#include "schemes/multichannel.h"
 #include "schemes/scheme.h"
 
 namespace airindex {
@@ -234,6 +236,105 @@ TEST(SnapshotTest, GoldenSnapshotLoadsAndMatchesRebuild) {
   EXPECT_TRUE(from_golden.found);
   EXPECT_EQ(from_golden.access_time, from_build.access_time);
   EXPECT_EQ(from_golden.tuning_time, from_build.tuning_time);
+}
+
+// Flatten's bytes for every scheme, not only the golden one_m n=64
+// file: the round-trip tests above would pass a change that reorders
+// string interning consistently on both sides. Each pin is a
+// (Checksum, total_bytes) pair of format version 1; any drift in
+// section layout, interning order or pad bytes moves the checksum. A
+// deliberate format change bumps ProgramArena::kFormatVersion and
+// re-captures the pins, as it regenerates the golden file.
+struct FlattenPin {
+  const char* label;
+  std::uint64_t checksum;
+  std::uint32_t total_bytes;
+};
+
+std::vector<std::pair<std::string, ProgramArena>> PinnedPrograms() {
+  std::vector<std::pair<std::string, ProgramArena>> programs;
+  for (const int n : {64, 2000}) {
+    for (const SchemeKind kind : kAllSchemes) {
+      programs.emplace_back(
+          std::string(SchemeKindToString(kind)) + "/" + std::to_string(n),
+          BuildProgram(kind, n).arena);
+    }
+  }
+  DatasetConfig dataset_config;
+  dataset_config.num_records = 2000;
+  auto dataset = std::make_shared<const Dataset>(
+      Dataset::Generate(dataset_config).value());
+  const BucketGeometry geometry;
+
+  // Index-on-one multichannel: cross-channel pointers and a switch cost.
+  MultiChannelParams multichannel;
+  multichannel.num_channels = 3;
+  multichannel.switch_cost_bytes = 500;
+  multichannel.allocation = ChannelAllocation::kIndexOnOne;
+  auto group = MultiChannelProgram::Build(SchemeKind::kOneM, dataset,
+                                          geometry, SchemeParams{},
+                                          multichannel)
+                   .value();
+  std::vector<const Channel*> channels;
+  for (int c = 0; c < group->group().num_channels(); ++c) {
+    channels.push_back(&group->group().channel(c));
+  }
+  programs.emplace_back(
+      "multichannel index-on-one/2000",
+      ProgramArena::Flatten(channels, multichannel.switch_cost_bytes,
+                            static_cast<int>(SchemeKind::kOneM),
+                            DatasetFingerprint(*dataset), 0, {}));
+
+  // Square-root scheduled (1,m): aux carries the resolved assignment.
+  SchemeParams scheduled;
+  scheduled.schedule.scheduler = SchedulerKind::kSquareRoot;
+  scheduled.schedule.num_disks = 3;
+  scheduled.schedule.theta = 0.9;
+  auto program =
+      BuildScheme(SchemeKind::kOneM, dataset, geometry, scheduled).value();
+  programs.emplace_back(
+      "square-root scheduled (1,m)/2000",
+      FlattenSchemeProgram(SchemeKind::kOneM, *program,
+                           DatasetFingerprint(*dataset),
+                           ProgramParamsFingerprint(SchemeKind::kOneM,
+                                                    geometry, scheduled))
+          .value());
+  return programs;
+}
+
+TEST(SnapshotTest, FlattenChecksumsMatchParent) {
+  constexpr FlattenPin kPins[] = {
+      {"flat broadcast/64", 0xc91ba680e7ace22aull, 6752},
+      {"(1,m) indexing/64", 0x3cb5bfe9e5b4b049ull, 19144},
+      {"distributed indexing/64", 0x8754c08658e90297ull, 11888},
+      {"simple hashing/64", 0x58c6945546bc80d9ull, 8736},
+      {"signature indexing/64", 0x67e68095121a0fccull, 14432},
+      {"integrated signature/64", 0xe540a6d3c586bf7dull, 7432},
+      {"multi-level signature/64", 0x53511771c1b02effull, 15112},
+      {"broadcast disks/64", 0x470a5b6137bce878ull, 10704},
+      {"hybrid index+signature/64", 0xdd3de7735d1680f8ull, 15576},
+      {"flat broadcast/2000", 0x61c3aa86e6a5e898ull, 208096},
+      {"(1,m) indexing/2000", 0x097ab44a49f62350ull, 582520},
+      {"distributed indexing/2000", 0x27de6b887b706278ull, 423960},
+      {"simple hashing/2000", 0x9934e397d4230789ull, 284960},
+      {"signature indexing/2000", 0xc550bcf629689c9aull, 448096},
+      {"integrated signature/2000", 0xba2a4afa091e926aull, 229104},
+      {"multi-level signature/2000", 0x6fa8b1cf2fd90125ull, 469104},
+      {"broadcast disks/2000", 0x1f6f0516a293304cull, 332896},
+      {"hybrid index+signature/2000", 0x324c54b816cee8d7ull, 532248},
+      {"multichannel index-on-one/2000", 0xa3222da11abd898aull, 339216},
+      {"square-root scheduled (1,m)/2000", 0xef1c8df2d3143929ull, 425712},
+  };
+  const auto programs = PinnedPrograms();
+  ASSERT_EQ(programs.size(), std::size(kPins));
+  for (std::size_t i = 0; i < programs.size(); ++i) {
+    const auto& [label, arena] = programs[i];
+    SCOPED_TRACE(label);
+    EXPECT_EQ(label, kPins[i].label);
+    EXPECT_EQ(arena.Checksum(), kPins[i].checksum);
+    EXPECT_EQ(arena.header().total_bytes, kPins[i].total_bytes);
+    EXPECT_EQ(arena.bytes().size(), kPins[i].total_bytes);
+  }
 }
 
 TEST(SnapshotTest, ProgramCacheMemoryOnly) {
